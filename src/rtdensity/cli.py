@@ -8,7 +8,6 @@ space.
 
 from __future__ import annotations
 
-import os
 import sys
 
 import click
@@ -30,18 +29,8 @@ from .verify import (
 from .weighted import GraphFormatError, graph_to_dict, load_graph
 
 FORMATS = click.Choice(["json", "csv", "text"])
-
-
-def _threads(flag: int | None) -> int | None:
-    env = os.environ.get("RT_ENGINE_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise click.UsageError(f"RT_ENGINE_THREADS={env!r} is not an integer")
-    if flag is not None:
-        return flag
-    return os.cpu_count()
+# the optimizer's float grid holds 2^grid_bits x (s+1) values
+GRID_BITS = click.IntRange(1, 14)
 
 
 def _load(path: str):
@@ -76,12 +65,11 @@ def main():
 @main.command()
 @click.option("--s", "s", type=int, required=True, help="Clique order being counted.")
 @click.option("--t", "t", type=int, required=True, help="Forbidden clique parameter.")
-@click.option("--grid-bits", type=int, default=12, show_default=True)
-@click.option("--threads", type=int, default=None, help="Worker threads (env RT_ENGINE_THREADS overrides).")
+@click.option("--grid-bits", type=GRID_BITS, default=12, show_default=True)
 @click.option("--format", "fmt", type=FORMATS, default="json", show_default=True)
-def density(s, t, grid_bits, threads, fmt):
+def density(s, t, grid_bits, fmt):
     """Maximize the K_s-density over admissible partition skeletons."""
-    cfg = OptimizerConfig(grid_bits=grid_bits, threads=_threads(threads))
+    cfg = OptimizerConfig(grid_bits=grid_bits)
     try:
         result = rho(s, t, cfg)
     except ValueError as exc:
@@ -141,14 +129,13 @@ def density(s, t, grid_bits, threads, fmt):
 @click.option("--s", "s", type=int, required=True)
 @click.option("--t-min", type=int, required=True)
 @click.option("--t-max", type=int, required=True)
-@click.option("--grid-bits", type=int, default=12, show_default=True)
-@click.option("--threads", type=int, default=None)
+@click.option("--grid-bits", type=GRID_BITS, default=12, show_default=True)
 @click.option("--format", "fmt", type=FORMATS, default="json", show_default=True)
-def audit(s, t_min, t_max, grid_bits, threads, fmt):
+def audit(s, t_min, t_max, grid_bits, fmt):
     """Compare the observed best b against max(s, floor(t/2)) for each t."""
     if t_max < t_min:
         raise click.UsageError("--t-max must be at least --t-min")
-    cfg = OptimizerConfig(grid_bits=grid_bits, threads=_threads(threads))
+    cfg = OptimizerConfig(grid_bits=grid_bits)
     rows_payload = []
     for t in range(t_min, t_max + 1):
         try:

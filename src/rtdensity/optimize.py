@@ -2,16 +2,18 @@
 
 For a fixed skeleton the feasible weights form at most a one-dimensional
 family (equal-size parts share a weight and the weights sum to one), so the
-inner problem is a polynomial maximization on an interval. The solver scans
-a dense grid, refines by golden section, snaps to a nearby rational, and
-certifies by exact evaluation — every reported density is the exact value
-at a concrete rational weight assignment, hence a true lower bound.
+inner problem is a polynomial maximization on an interval. Its coefficients
+come from `partitions.class_poly`, the size-class factor of the density
+generating function. The solver scans a float grid, refines by golden
+section, snaps to nearby rationals and certifies each candidate exactly with
+`spec_density`. Every reported density is therefore the exact value at a
+concrete rational weight assignment, hence a true lower bound. The float
+stage needs s! to fit a double, so two-class skeletons need s <= 170.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -21,23 +23,24 @@ import numpy as np
 from .partitions import (
     PartitionSpec,
     WeightAssignment,
+    class_poly,
     enumerate_specs,
     parts_density,
     spec_density,
     uniform_assignment,
 )
-from .weighted import ONE, ZERO
+from .weighted import ONE
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-12
+_SNAP_DENOMINATORS = (10**6, 10**3, 10**2)
+_ENDPOINT_MARGIN = 1e-9  # relative clamp away from degenerate weights
+_MAX_FLOAT_S = 170  # largest s with float(s!) finite
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     grid_bits: int = 12
-    golden_tol: float = 1e-12
-    snap_denominator: int = 10**6
-    endpoint_margin: float = 1e-9  # relative clamp away from degenerate weights
-    threads: int | None = None
 
 
 @dataclass(frozen=True)
@@ -94,28 +97,7 @@ class PeriodicityReport:
     concavity_failures: tuple[ConcavityFailure, ...]
 
 
-def class_poly(size: int, count: int, s: int) -> list[Fraction]:
-    """Coefficients of (sum_m C(size,m) 2^(-C(m,2)) y^m)^count, truncated at y^s.
-
-    The per-vertex weight w is factored out: the z^j coefficient of a size
-    class in the density generating product is (this array)[j] * w^j.
-    """
-    base = [Fraction(comb(size, m), 2 ** comb(m, 2)) for m in range(min(size, s) + 1)]
-    coeffs = [ONE]
-    for _ in range(count):
-        nxt = [ZERO] * min(len(coeffs) + len(base) - 1, s + 1)
-        for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            for m, bm in enumerate(base):
-                if j + m > s:
-                    break
-                nxt[j + m] += c * bm
-        coeffs = nxt
-    return coeffs
-
-
-def _assignment(spec: PartitionSpec, n_large: int, n_small: int, p: Fraction, q: Fraction) -> WeightAssignment:
+def _assignment(n_large: int, n_small: int, p: Fraction, q: Fraction) -> WeightAssignment:
     return WeightAssignment(((n_large, p), (n_small, q)))
 
 
@@ -129,6 +111,8 @@ def optimize_spec(spec: PartitionSpec, cfg: OptimizerConfig | None = None) -> Sp
     limit sense by deleting the class. If an endpoint limit beats the best
     interior point, rationals walking toward that endpoint are certified
     until one wins, so the returned assignment is always strictly positive.
+    Two-class skeletons with s > 170 raise ValueError: the float stage
+    cannot represent s!.
     """
     cfg = cfg or OptimizerConfig()
     s = spec.s
@@ -138,6 +122,8 @@ def optimize_spec(spec: PartitionSpec, cfg: OptimizerConfig | None = None) -> Sp
         cert = spec_density(spec, w, s)
         return SpecOptimum(spec, w, cert, float(cert))
 
+    if s > _MAX_FLOAT_S:
+        raise ValueError(f"s ≤ {_MAX_FLOAT_S} is supported by the float optimizer")
     (n_large, k_large), (n_small, k_small) = classes
     sum_large = n_large * k_large
     sum_small = n_small * k_small
@@ -169,7 +155,7 @@ def optimize_spec(spec: PartitionSpec, cfg: OptimizerConfig | None = None) -> Sp
             total += alpha_f[j] * beta_f[s - j] * p_pows[j] * q_pows[s - j]
         return s_fact * total
 
-    margin = cfg.endpoint_margin * hi
+    margin = _ENDPOINT_MARGIN * hi
     grid = np.linspace(margin, hi - margin, 2 ** cfg.grid_bits)
     values = objective_grid(grid)
     best_idx = int(np.argmax(values))
@@ -177,7 +163,7 @@ def optimize_spec(spec: PartitionSpec, cfg: OptimizerConfig | None = None) -> Sp
     hi_b = grid[min(best_idx + 1, len(grid) - 1)]
 
     lo, hi_g = lo_b, hi_b
-    while hi_g - lo > cfg.golden_tol:
+    while hi_g - lo > _GOLDEN_TOL:
         c = hi_g - _INVPHI * (hi_g - lo)
         d = lo + _INVPHI * (hi_g - lo)
         if objective_scalar(c) >= objective_scalar(d):
@@ -190,7 +176,7 @@ def optimize_spec(spec: PartitionSpec, cfg: OptimizerConfig | None = None) -> Sp
     # rational candidates, exact certification
     p_max = Fraction(1, sum_large)
     candidates: list[Fraction] = []
-    for limit in (cfg.snap_denominator, 10**3, 10**2):
+    for limit in _SNAP_DENOMINATORS:
         candidates.append(Fraction(p_star).limit_denominator(limit))
     candidates.append(Fraction(1, spec.b))  # exact uniform point
     seen: set[Fraction] = set()
@@ -201,7 +187,7 @@ def optimize_spec(spec: PartitionSpec, cfg: OptimizerConfig | None = None) -> Sp
             continue
         seen.add(p)
         q = (ONE - sum_large * p) / sum_small
-        val = spec_density(spec, _assignment(spec, n_large, n_small, p, q), s)
+        val = spec_density(spec, _assignment(n_large, n_small, p, q), s)
         if best_val is None or val > best_val:
             best_val, best_p = val, p
     assert best_p is not None and best_val is not None
@@ -216,14 +202,14 @@ def optimize_spec(spec: PartitionSpec, cfg: OptimizerConfig | None = None) -> Sp
         for _ in range(200):
             p = p_max * shift if toward_p_zero else p_max * (1 - shift)
             q = (ONE - sum_large * p) / sum_small
-            val = spec_density(spec, _assignment(spec, n_large, n_small, p, q), s)
+            val = spec_density(spec, _assignment(n_large, n_small, p, q), s)
             if val > best_val:
                 best_val, best_p = val, p
                 break
             shift /= 2
 
     q_best = (ONE - sum_large * best_p) / sum_small
-    weights = _assignment(spec, n_large, n_small, best_p, q_best)
+    weights = _assignment(n_large, n_small, best_p, q_best)
     estimate = max(estimate, float(best_val), float(limit_p0), float(limit_q0))
     return SpecOptimum(spec, weights, best_val, estimate)
 
@@ -234,11 +220,7 @@ def rho(s: int, t: int, cfg: OptimizerConfig | None = None) -> OptimizationResul
     if not (2 <= s <= t - 2):
         raise ValueError("need 2 <= s <= t - 2")
     specs = enumerate_specs(s, t)
-    if cfg.threads and cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            optima = list(pool.map(lambda sp: optimize_spec(sp, cfg), specs))
-    else:
-        optima = [optimize_spec(sp, cfg) for sp in specs]
+    optima = [optimize_spec(sp, cfg) for sp in specs]
     density = max(o.certified for o in optima)
     ties = tuple(i for i, o in enumerate(optima) if o.certified == density)
     return OptimizationResult(s, t, tuple(optima), ties[0], density, ties)

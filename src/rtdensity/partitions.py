@@ -130,34 +130,63 @@ def realize_spec(spec: PartitionSpec, w: WeightAssignment) -> WeightedGraph:
     return WeightedGraph(tuple(weights), mat)
 
 
+def class_poly(size: int, count: int, s: int) -> list[Fraction]:
+    """Coefficients of (sum_m C(size,m) 2^(-C(m,2)) y^m)^count, truncated at y^s.
+
+    The per-vertex weight w is factored out: the z^j coefficient of `count`
+    equal parts of weight w in the density generating product is
+    (this array)[j] * w^j. The convolution runs on integers scaled by
+    2^(e*count) with e = C(min(size, s), 2).
+    """
+    e = comb(min(size, s), 2)
+    base = [comb(size, m) << (e - comb(m, 2)) for m in range(min(size, s) + 1)]
+    coeffs = [1]
+    for _ in range(count):
+        nxt = [0] * min(len(coeffs) + len(base) - 1, s + 1)
+        for j, c in enumerate(coeffs):
+            for m, bm in enumerate(base[: s + 1 - j]):
+                nxt[j + m] += c * bm
+        coeffs = nxt
+    denominator = 1 << (e * count)
+    return [Fraction(c, denominator) for c in coeffs]
+
+
 def parts_density(parts: Sequence[tuple[int, Fraction]], s: int) -> Fraction:
     """Exact K_s-density of a parts graph (1/2 inside parts, 1 across).
 
     parts lists (size, per-vertex weight) for each part. Computed as
     s! * [z^s] of the product over parts of
-    sum_m C(size, m) * weight^m * 2^(-C(m,2)) * z^m.
+    sum_m C(size, m) * weight^m * 2^(-C(m,2)) * z^m,
+    with equal (size, weight) parts grouped into one `class_poly` factor.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
     if s == 0:
         return ONE
-    coeffs = [ONE] + [ZERO] * s
+    classes: dict[tuple[int, Fraction], int] = {}
     for size, weight in parts:
-        wfrac = as_fraction(weight)
-        top = min(size, s)
-        poly = [
-            comb(size, m) * wfrac**m / 2 ** comb(m, 2) for m in range(top + 1)
-        ]
-        nxt = [ZERO] * (s + 1)
+        key = (size, as_fraction(weight))
+        classes[key] = classes.get(key, 0) + 1
+    if not classes:
+        return ZERO
+    *head, last = classes.items()
+    coeffs = [ONE]
+    for (size, weight), count in head:
+        poly = [c * weight**m for m, c in enumerate(class_poly(size, count, s))]
+        nxt = [ZERO] * min(len(coeffs) + len(poly) - 1, s + 1)
         for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            for m, pm in enumerate(poly):
-                if j + m > s:
-                    break
+            for m, pm in enumerate(poly[: s + 1 - j]):
                 nxt[j + m] += c * pm
         coeffs = nxt
-    return factorial(s) * coeffs[s]
+    # the last class contributes only to the z^s coefficient
+    (size, weight), count = last
+    top = sum(
+        (coeffs[s - m] * c * weight**m
+         for m, c in enumerate(class_poly(size, count, s))
+         if s - m < len(coeffs)),
+        ZERO,
+    )
+    return factorial(s) * top
 
 
 def spec_parts(spec: PartitionSpec, w: WeightAssignment) -> list[tuple[int, Fraction]]:

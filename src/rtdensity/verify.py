@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial, perm
+from typing import Iterable
 
 from .freeness import score_from_masks
 from .partitions import parts_density
@@ -84,39 +85,33 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _canonical_edges(n: int, edges: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    pair_index = {
-        (u, v): i for i, (u, v) in enumerate((u, v) for u in range(n) for v in range(u + 1, n))
-    }
-    best = None
-    for p in permutations(range(n)):
-        key = tuple(
-            edges[pair_index[(min(p[u], p[v]), max(p[u], p[v]))]]
-            for u in range(n)
-            for v in range(u + 1, n)
-        )
-        if best is None or key < best:
-            best = key
-    return best
+def _permutation_table(
+    n: int, perms: Iterable[tuple[int, ...]]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(vertex permutation, induced map on pair indices) for each permutation.
+
+    Pairs (u, v), u < v, are indexed in row-major order; entry i of the pair
+    map is the index of the image of pair i.
+    """
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pair_index = {pair: i for i, pair in enumerate(pairs)}
+    return [
+        (p, tuple(pair_index[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs))
+        for p in perms
+    ]
 
 
-def _canonical_graph(
-    n: int, weights: tuple[Fraction, ...], edges: tuple[Fraction, ...]
+def _canonical(
+    table, weights: tuple[Fraction, ...], edges: tuple[Fraction, ...]
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    pair_index = {
-        (u, v): i for i, (u, v) in enumerate((u, v) for u in range(n) for v in range(u + 1, n))
-    }
-    best = None
-    for p in permutations(range(n)):
-        wkey = tuple(weights[p[v]] for v in range(n))
-        ekey = tuple(
-            edges[pair_index[(min(p[u], p[v]), max(p[u], p[v]))]]
-            for u in range(n)
-            for v in range(u + 1, n)
-        )
-        if best is None or (wkey, ekey) < best:
-            best = (wkey, ekey)
-    return best
+    """Least (weights, edges) key over the permutations of `table`.
+
+    With weights=() only the edge assignment is canonicalized.
+    """
+    return min(
+        (tuple(weights[v] for v in p) if weights else (), tuple(edges[i] for i in idx))
+        for p, idx in table
+    )
 
 
 def _graph_from_tuples(
@@ -149,6 +144,10 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
         tuple(Fraction(k, d) for k in compo) for compo in _compositions(d, n)
     ]
     subsets = list(combinations(range(n), s)) if s <= n else []
+    dedup = n <= CANONICAL_MAX_N
+    table = _permutation_table(
+        n, permutations(range(n)) if dedup else [tuple(range(n))]
+    )
 
     best_density = None
     best_canon = None
@@ -157,8 +156,8 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
     seen_edges: set = set()
 
     for edge_tuple in product(cfg.edge_alphabet, repeat=len(pairs)):
-        if n <= CANONICAL_MAX_N:
-            canon_e = _canonical_edges(n, edge_tuple)
+        if dedup:
+            canon_e = _canonical(table, (), edge_tuple)
             if canon_e in seen_edges:
                 continue
             seen_edges.add(canon_e)
@@ -204,17 +203,10 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
             density *= sfact
             if best_density is None or density > best_density:
                 best_density = density
-                if n <= CANONICAL_MAX_N:
-                    best_canon = _canonical_graph(n, weights, edge_tuple)
-                else:
-                    best_canon = (weights, edge_tuple)
+                best_canon = _canonical(table, weights, edge_tuple)
                 maximizer_canons = {best_canon}
             elif density == best_density:
-                canon = (
-                    _canonical_graph(n, weights, edge_tuple)
-                    if n <= CANONICAL_MAX_N
-                    else (weights, edge_tuple)
-                )
+                canon = _canonical(table, weights, edge_tuple)
                 maximizer_canons.add(canon)
                 if canon < best_canon:
                     best_canon = canon

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import SimpleGraph
 from .rationals import RationalLike, as_fraction, format_fraction
@@ -201,10 +201,20 @@ def ks_density(g: WeightedGraph, s: int) -> Fraction:
     return Fraction(factorial(s)) * _subset_sum(g, s, list(range(n)))
 
 
-def _subset_sum(g: WeightedGraph, s: int, pool: list[int]) -> Fraction:
-    """Sum over s-subsets of pool of (product of vertex weights and all pair weights)."""
+def _subset_sum(
+    g: WeightedGraph,
+    s: int,
+    pool: list[int],
+    prefix: Sequence[int] = (),
+    prefix_product: Fraction = ONE,
+) -> Fraction:
+    """Sum over s-sets made of the fixed prefix plus vertices of pool of
+    (product of vertex weights and all pair weights).
+
+    prefix_product is that product over the prefix alone.
+    """
     total = ZERO
-    chosen: list[int] = []
+    chosen = list(prefix)
 
     def rec(start: int, product: Fraction) -> None:
         nonlocal total
@@ -227,7 +237,7 @@ def _subset_sum(g: WeightedGraph, s: int, pool: list[int]) -> Fraction:
             rec(idx + 1, p)
             chosen.pop()
 
-    rec(0, ONE)
+    rec(0, prefix_product)
     return total
 
 
@@ -273,37 +283,7 @@ def ks_density_with(
         if base == 0:
             return ZERO
         rest = [v for v in range(g.n) if v not in set(members)]
-        total = ZERO
-        chosen: list[int] = []
-
-        def rec(start: int, product: Fraction) -> None:
-            nonlocal total
-            if len(chosen) == s - k:
-                total += product
-                return
-            for idx in range(start, len(rest) - (s - k - len(chosen)) + 1):
-                v = rest[idx]
-                p = product * g.vertex_weights[v]
-                if p == 0:
-                    continue
-                for u in members:
-                    p *= g.edge_weights[u][v]
-                    if p == 0:
-                        break
-                if p == 0:
-                    continue
-                for u in chosen:
-                    p *= g.edge_weights[u][v]
-                    if p == 0:
-                        break
-                if p == 0:
-                    continue
-                chosen.append(v)
-                rec(idx + 1, p)
-                chosen.pop()
-
-        rec(0, base)
-        return Fraction(factorial(s)) * total
+        return Fraction(factorial(s)) * _subset_sum(g, s, rest, members, base)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -171,10 +171,17 @@ def test_csv_and_text_formats(runner, k5_file):
     assert header.startswith("b,a,part_sizes")
 
 
-def test_threads_env_override(runner, monkeypatch):
-    monkeypatch.setenv("RT_ENGINE_THREADS", "2")
-    payload = run_json(runner, ["density", "--s", "2", "--t", "6", "--threads", "1"])
-    assert payload["density"]["exact"] == "4/7"
-    monkeypatch.setenv("RT_ENGINE_THREADS", "zzz")
-    result = runner.invoke(main, ["density", "--s", "2", "--t", "6"])
+def test_grid_bits_out_of_range_exit_2(runner):
+    for cmd in (["density", "--s", "5", "--t", "11"],
+                ["audit", "--s", "5", "--t-min", "10", "--t-max", "10"]):
+        for bits in ("-1", "15"):
+            result = runner.invoke(main, cmd + ["--grid-bits", bits])
+            assert result.exit_code == 2
+            assert "Traceback" not in result.output
+
+
+def test_density_s_above_float_range_exit_2(runner):
+    result = runner.invoke(main, ["density", "--s", "171", "--t", "343"])
     assert result.exit_code == 2
+    assert "s ≤ 170" in result.output
+    assert "Traceback" not in result.output

@@ -87,14 +87,6 @@ def test_rho_domain_errors():
         rho(4, 5)
 
 
-def test_rho_deterministic_and_thread_invariant():
-    serial = rho(5, 11, OptimizerConfig(threads=1))
-    threaded = rho(5, 11, OptimizerConfig(threads=4))
-    assert serial.density == threaded.density
-    assert [o.certified for o in serial.per_spec] == [o.certified for o in threaded.per_spec]
-    assert [o.weights for o in serial.per_spec] == [o.weights for o in threaded.per_spec]
-
-
 def test_audit_counterexamples():
     a = audit_conjecture(5, 10)
     assert a.counterexample and a.observed_b == 6 and a.conjectured_b == 5

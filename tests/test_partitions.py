@@ -5,6 +5,7 @@ import pytest
 
 from rtdensity import (
     WeightAssignment,
+    WeightedGraph,
     complete_balanced,
     enumerate_specs,
     is_ckt_free,
@@ -157,6 +158,18 @@ def test_complete_balanced_examples():
         complete_balanced(0)
 
 
+def realize_parts(parts) -> WeightedGraph:
+    """Parts graph with the given (size, weight) parts: 1/2 inside, 1 across."""
+    owner = [i for i, (size, _) in enumerate(parts) for _ in range(size)]
+    weights = [w for size, w in parts for _ in range(size)]
+    edges = {
+        (u, v): F(1, 2) if owner[u] == owner[v] else F(1)
+        for u in range(len(owner))
+        for v in range(u + 1, len(owner))
+    }
+    return WeightedGraph.build(weights, edges)
+
+
 def test_parts_density_two_part_closed_form():
     # two parts P=3, Q=2: compare with the direct graph evaluation
     from rtdensity.verify import two_part_graph
@@ -164,6 +177,14 @@ def test_parts_density_two_part_closed_form():
     p, q = F(1, 6), F(1, 4)
     for m in range(0, 6):
         assert parts_density([(3, p), (2, q)], m) == ks_density(two_part_graph(p, 3, q, 2), m)
+    # equal (size, weight) parts are grouped: three size classes, equal
+    # sizes with different weights, and classes listed out of order
+    three = [(3, F(1, 12)), (1, F(1, 8)), (2, F(1, 16)), (1, F(1, 8)), (2, F(1, 16)), (3, F(1, 12))]
+    same_size = [(2, F(1, 10)), (2, F(3, 20)), (2, F(1, 10)), (1, F(3, 10))]
+    for parts in (three, same_size):
+        g = realize_parts(parts)
+        for m in range(0, 9):
+            assert parts_density(parts, m) == ks_density(g, m)
 
 
 def test_spec_json_roundtrip():
