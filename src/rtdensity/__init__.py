@@ -38,6 +38,7 @@ from .rationals import format_fraction, parse_fraction
 from .sphere import BEConfig, RealizedGraph, be_graph, graph_stats, realize, sample_sphere
 from .verify import (
     BruteForceResult,
+    NoFreeGraphError,
     SearchConfig,
     SearchSpaceError,
     StructureReport,

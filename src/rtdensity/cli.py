@@ -2,8 +2,8 @@
 
 Every subcommand prints a machine-readable report (JSON by default, CSV or
 aligned text on request). Identical invocations produce byte-identical
-output. Exit codes: 0 success, 2 flag or input errors, 3 refused search
-space.
+output. Exit codes: 0 success, 2 flag or input errors (including a search
+space with no t-free graph), 3 refused search space.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .rationals import format_fraction, parse_fraction
 from .serialize import csv_text, dumps, exact_float, float15, table
 from .sphere import BEConfig, graph_stats, realize
 from .verify import (
+    NoFreeGraphError,
     SearchConfig,
     SearchSpaceError,
     basis_coefficients,
@@ -45,11 +46,16 @@ def _load(path: str):
 
 def _emit(payload: dict, fmt: str, csv_parts, text_parts) -> None:
     if fmt == "json":
-        click.echo(dumps(payload), nl=False)
+        out = dumps(payload)
     elif fmt == "csv":
-        click.echo(csv_text(*csv_parts), nl=False)
+        out = csv_text(*csv_parts)
     else:
-        click.echo(text_parts, nl=False)
+        out = text_parts
+    # click.echo's default stream lookup caches a wrapper per sys.stdout
+    # object that keeps it alive, so a caller that redirects stdout for each
+    # in-process call would leak every redirected stream; get_text_stream
+    # applies the same encoding checks without the cache.
+    click.echo(out, file=click.get_text_stream("stdout"), nl=False)
 
 
 @click.group()
@@ -60,6 +66,10 @@ def main():
     partition graphs, checks weighted t-clique freeness, runs brute-force
     searches, and realizes weighted graphs as concrete sphere-point graphs.
     """
+    # exact densities at s >= 169 carry denominators past Python's default
+    # 4300-digit limit on int-to-str conversion
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 @main.command()
@@ -237,6 +247,9 @@ def search(n, s, t, denominator, alphabet, fmt):
     except SearchSpaceError as exc:
         click.echo(f"refused: {exc}", err=True)
         sys.exit(3)
+    except NoFreeGraphError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     payload = {
         "command": "search",
         "n": n,

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm, prod
+from operator import mul
 from typing import Iterable
 
 from .freeness import score_from_masks
@@ -32,6 +33,10 @@ class SearchSpaceError(RuntimeError):
         self.size = size
 
 
+class NoFreeGraphError(RuntimeError):
+    """No edge assignment in the search space is t-free."""
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     n: int
@@ -43,6 +48,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.s < 0:
+            raise ValueError("s must be nonnegative")
         if self.weight_denominator < self.n:
             raise ValueError("weight denominator must be at least n")
         if not self.edge_alphabet:
@@ -101,15 +108,10 @@ def _permutation_table(
     ]
 
 
-def _canonical(
-    table, weights: tuple[Fraction, ...], edges: tuple[Fraction, ...]
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Least (weights, edges) key over the permutations of `table`.
-
-    With weights=() only the edge assignment is canonicalized.
-    """
+def _canonical(table, weights: tuple, edges: tuple) -> tuple[tuple, tuple]:
+    """Least (weights, edges) key over the permutations of `table`."""
     return min(
-        (tuple(weights[v] for v in p) if weights else (), tuple(edges[i] for i in idx))
+        (tuple(weights[v] for v in p), tuple(edges[i] for i in idx))
         for p, idx in table
     )
 
@@ -131,93 +133,90 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
     """Exact discrete maximizer of the K_s-density over t-free graphs.
 
     Vertex weights are positive multiples of 1/D summing to 1; edge weights
-    come from the alphabet. Freeness depends only on the edge assignment, so
-    it is checked once per assignment; edge assignments are deduplicated up
-    to vertex permutation for n <= CANONICAL_MAX_N.
+    come from the alphabet. The search runs on integer codes: each edge value
+    is its rank among the distinct alphabet values, and each weight tuple is
+    its integer composition k of D. Freeness depends only on the edge
+    assignment, so it is checked once per assignment. For n <=
+    CANONICAL_MAX_N assignments are deduplicated up to vertex permutation:
+    the first assignment of each orbit is evaluated and every image of it
+    under the n! permutations is marked as seen. The density numerator of
+    composition k is sum over s-subsets of (edge product scaled by the lcm L
+    of the alphabet denominators) * (product of k_v), an exact integer; the
+    one Fraction s! * best / (L^C(s,2) * D^s) is formed at the end. Only the
+    assignments that tie the final optimum are canonicalized, and `best` is
+    the least canonical form among them.
     """
     size = search_space_size(cfg)
     if size > SEARCH_SPACE_LIMIT:
         raise SearchSpaceError(size)
     n, d, s, t = cfg.n, cfg.weight_denominator, cfg.s, cfg.t
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    weight_tuples = [
-        tuple(Fraction(k, d) for k in compo) for compo in _compositions(d, n)
-    ]
-    subsets = list(combinations(range(n), s)) if s <= n else []
+    pair_index = {pair: i for i, pair in enumerate(pairs)}
+    values = sorted(set(cfg.edge_alphabet))
+    scale = lcm(*(w.denominator for w in values))
+    scaled = [int(w * scale) for w in values]
+    positive = [w > 0 for w in values]
+    heavy = [w > HALF for w in values]
+    compositions = list(_compositions(d, n))
+    subsets = list(combinations(range(n), s))
+    subset_pairs = [[pair_index[pair] for pair in combinations(sub, 2)] for sub in subsets]
+    # per composition, the weight product of every s-subset
+    weight_products = [[prod(k[v] for v in sub) for sub in subsets] for k in compositions]
     dedup = n <= CANONICAL_MAX_N
-    table = _permutation_table(
-        n, permutations(range(n)) if dedup else [tuple(range(n))]
-    )
+    table = _permutation_table(n, permutations(range(n)) if dedup else [tuple(range(n))])
+    # an assignment's code is its base-V number, first pair most significant;
+    # with the places of a permutation, the same sum gives the code of the image
+    base = len(values)
+    place = [base ** (len(pairs) - 1 - j) for j in range(len(pairs))]
+    image_places = [[place[idx.index(i)] for i in range(len(pairs))] for _, idx in table]
+    seen = bytearray(base ** len(pairs)) if dedup else None
+    rank = {w: c for c, w in enumerate(values)}
 
-    best_density = None
-    best_canon = None
-    maximizer_canons: set = set()
-    searched = 0
-    seen_edges: set = set()
-
-    for edge_tuple in product(cfg.edge_alphabet, repeat=len(pairs)):
-        if dedup:
-            canon_e = _canonical(table, (), edge_tuple)
-            if canon_e in seen_edges:
+    best_value = None
+    ties: list = []  # (edge codes, composition indices) reaching best_value
+    classes = 0
+    for edges in product([rank[w] for w in cfg.edge_alphabet], repeat=len(pairs)):
+        if seen is not None:
+            if seen[sum(map(mul, edges, place))]:
                 continue
-            seen_edges.add(canon_e)
+            for places in image_places:
+                seen[sum(map(mul, edges, places))] = 1
+        classes += 1
         # freeness is weight-independent
         pos_adj = [0] * n
         half_adj = [0] * n
-        for (u, v), w in zip(pairs, edge_tuple):
-            if w > 0:
+        for (u, v), c in zip(pairs, edges):
+            if positive[c]:
                 pos_adj[u] |= 1 << v
                 pos_adj[v] |= 1 << u
-            if w > HALF:
+            if heavy[c]:
                 half_adj[u] |= 1 << v
                 half_adj[v] |= 1 << u
         score, _ = score_from_masks(tuple(pos_adj), tuple(half_adj))
         if score >= t:
-            searched += len(weight_tuples)
             continue
-        # per-subset edge products, weight independent
-        edge_at = {}
-        for (u, v), w in zip(pairs, edge_tuple):
-            edge_at[(u, v)] = w
-        subset_products = []
-        for sub in subsets:
-            prod = ONE
-            for i in range(len(sub)):
-                for j in range(i + 1, len(sub)):
-                    prod *= edge_at[(sub[i], sub[j])]
-                    if prod == 0:
-                        break
-                if prod == 0:
-                    break
-            if prod != 0:
-                subset_products.append((sub, prod))
-        sfact = factorial(s)
-        for weights in weight_tuples:
-            searched += 1
-            density = ZERO
-            for sub, prod in subset_products:
-                wprod = prod
-                for v in sub:
-                    wprod *= weights[v]
-                density += wprod
-            density *= sfact
-            if best_density is None or density > best_density:
-                best_density = density
-                best_canon = _canonical(table, weights, edge_tuple)
-                maximizer_canons = {best_canon}
-            elif density == best_density:
-                canon = _canonical(table, weights, edge_tuple)
-                maximizer_canons.add(canon)
-                if canon < best_canon:
-                    best_canon = canon
+        edge_products = [prod(scaled[edges[i]] for i in sp) for sp in subset_pairs]
+        numerators = [sum(map(mul, edge_products, w)) for w in weight_products]
+        top = max(numerators)
+        if best_value is None or top > best_value:
+            best_value = top
+            ties = []
+        if top == best_value:
+            ties.append((edges, [i for i, x in enumerate(numerators) if x == top]))
 
-    if best_density is None:
-        raise RuntimeError("no t-free graph in the search space")
-    maximizers = tuple(
-        _graph_from_tuples(n, w, e) for w, e in sorted(maximizer_canons)
+    if best_value is None:
+        raise NoFreeGraphError("no t-free graph in the search space")
+    canons = sorted(
+        {_canonical(table, compositions[i], edges) for edges, idxs in ties for i in idxs}
     )
-    best = _graph_from_tuples(n, best_canon[0], best_canon[1])
-    return BruteForceResult(best, best_density, maximizers, searched)
+    graphs = tuple(
+        _graph_from_tuples(
+            n, tuple(Fraction(k, d) for k in kw), tuple(values[c] for c in ec)
+        )
+        for kw, ec in canons
+    )
+    density = Fraction(factorial(s) * best_value, scale ** comb(s, 2) * d**s)
+    return BruteForceResult(graphs[0], density, graphs, classes * len(compositions))
 
 
 # ---------------------------------------------------------------------------

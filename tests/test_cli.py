@@ -1,4 +1,8 @@
+import gc
+import io
 import json
+import weakref
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import jsonschema
@@ -6,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import SCHEMA_DIR
-from rtdensity import WeightedGraph, complete_balanced, dumps_graph
+from rtdensity import WeightedGraph, complete_balanced, dumps_graph, parse_fraction, rho
 from rtdensity.cli import main
 
 
@@ -97,6 +101,21 @@ def test_search_refusal_exit_code(runner):
     assert "refused" in result.output
 
 
+def test_search_without_result_exit_2(runner):
+    no_free = (
+        ["--n", "2", "--s", "2", "--t", "2", "-d", "2"],
+        ["--n", "3", "--s", "3", "--t", "5", "-d", "3", "--alphabet", "1,1"],
+    )
+    for args in no_free:
+        result = runner.invoke(main, ["search"] + args)
+        assert result.exit_code == 2
+        assert result.output == "error: no t-free graph in the search space\n"
+    result = runner.invoke(main, ["search", "--n", "3", "--s", "-1", "--t", "5", "-d", "3"])
+    assert result.exit_code == 2
+    assert "s must be nonnegative" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_coeffs_json_text_and_schema(runner):
     payload = run_json(runner, ["coeffs", "--m", "2"])
     assert [c["exact"] for c in payload["coefficients"]] == ["1", "1"]
@@ -185,3 +204,20 @@ def test_density_s_above_float_range_exit_2(runner):
     assert result.exit_code == 2
     assert "s ≤ 170" in result.output
     assert "Traceback" not in result.output
+
+
+def test_density_exact_past_int_str_digit_limit(runner):
+    # the exact denominator has more than Python's default 4300 digits
+    payload = run_json(runner, ["density", "--s", "169", "--t", "171"])
+    assert parse_fraction(payload["density"]["exact"]) == rho(169, 171).density
+
+
+def test_in_process_call_releases_redirected_stdout():
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        main.main(args=["coeffs", "--m", "3"], prog_name="rtdensity", standalone_mode=False)
+    assert json.loads(buf.getvalue())["command"] == "coeffs"
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None

@@ -1,8 +1,11 @@
 from fractions import Fraction as F
+from itertools import combinations, permutations, product
+from math import factorial, prod
 
 import pytest
 
 from rtdensity import (
+    NoFreeGraphError,
     SearchConfig,
     SearchSpaceError,
     WeightedGraph,
@@ -20,6 +23,7 @@ from rtdensity import (
     verify_two_part_decomposition,
 )
 from rtdensity.partitions import WeightAssignment, enumerate_specs
+from rtdensity import verify
 from rtdensity.verify import search_space_size
 
 
@@ -75,6 +79,105 @@ def test_brute_force_never_beats_rho():
     # at matching order and representable weights the search recovers rho
     res = brute_force_extremal(SearchConfig(3, 6, HALF_ONE, 3, 5))
     assert res.density == rho(3, 5).density
+
+
+def _reference_search(cfg):
+    """Every edge tuple and every composition in Fraction arithmetic.
+
+    Maximizers are keyed by their least image over the vertex permutations,
+    all of them when the search deduplicates (n <= CANONICAL_MAX_N) and the
+    identity otherwise. Returns (density, best, maximizers, searched), or
+    None when no edge tuple is t-free.
+    """
+    n, d, s, t = cfg.n, cfg.weight_denominator, cfg.s, cfg.t
+    pairs = list(combinations(range(n), 2))
+    dedup = n <= verify.CANONICAL_MAX_N
+    perms = list(permutations(range(n))) if dedup else [tuple(range(n))]
+    compositions = [c for c in product(range(1, d + 1), repeat=n) if sum(c) == d]
+
+    def least_image(weights, edge):
+        return min(
+            (
+                tuple(weights[p[v]] for v in range(n)),
+                tuple(edge[tuple(sorted((p[u], p[v])))] for u, v in pairs),
+            )
+            for p in perms
+        )
+
+    def score(edge):
+        return max(
+            len(s1) + len(s2)
+            for m in range(n + 1)
+            for s1 in combinations(range(n), m)
+            if all(edge[q] > 0 for q in combinations(s1, 2))
+            for k in range(m + 1)
+            for s2 in combinations(s1, k)
+            if all(edge[q] > F(1, 2) for q in combinations(s2, 2))
+        )
+
+    best, keys, seen, searched = None, set(), set(), 0
+    for edges in product(cfg.edge_alphabet, repeat=len(pairs)):
+        edge = dict(zip(pairs, edges))
+        if dedup:
+            orbit_key = least_image((0,) * n, edge)
+            if orbit_key in seen:
+                continue
+            seen.add(orbit_key)
+        searched += len(compositions)
+        if score(edge) >= t:
+            continue
+        for k in compositions:
+            weights = tuple(F(x, d) for x in k)
+            density = factorial(s) * sum(
+                (
+                    prod(edge[q] for q in combinations(sub, 2)) * prod(weights[v] for v in sub)
+                    for sub in combinations(range(n), s)
+                ),
+                F(0),
+            )
+            if best is None or density > best:
+                best, keys = density, set()
+            if density == best:
+                keys.add(least_image(weights, edge))
+    if best is None:
+        return None
+
+    def graph(key):
+        weights, edges = key
+        return WeightedGraph.build(
+            weights, {pair: w for pair, w in zip(pairs, edges) if w != 0}
+        )
+
+    keys = sorted(keys)
+    return best, graph(keys[0]), tuple(graph(key) for key in keys), searched
+
+
+@pytest.mark.parametrize(
+    "n, d, alphabet, s, t, canonical_max_n",
+    [
+        (3, 6, (1, F(1, 3), 0), 3, 5, None),  # unsorted alphabet
+        (4, 8, (1, F(1, 3), 0), 3, 6, None),
+        (3, 5, (1, 1, F(1, 2), F(1, 2)), 3, 6, None),  # repeated letters
+        (4, 6, (F(1, 2), 1, 1), 3, 7, None),
+        (2, 4, (0, F(1, 2), 1), 4, 6, None),  # s > n: every free pair ties at 0
+        (4, 6, (0, F(1, 2), 1), 3, 7, None),  # ternary
+        (3, 6, (1, F(1, 3), 0), 3, 5, 2),  # no dedup
+        (4, 6, (1, 1, F(1, 2)), 3, 6, 3),  # no dedup, repeated letters
+        (2, 2, (F(1, 2), 1), 2, 2, None),  # no t-free graph
+        (3, 3, (1, 1), 3, 5, None),
+    ],
+)
+def test_brute_force_matches_reference(monkeypatch, n, d, alphabet, s, t, canonical_max_n):
+    if canonical_max_n is not None:
+        monkeypatch.setattr(verify, "CANONICAL_MAX_N", canonical_max_n)
+    cfg = SearchConfig(n, d, tuple(F(w) for w in alphabet), s, t)
+    expected = _reference_search(cfg)
+    if expected is None:
+        with pytest.raises(NoFreeGraphError):
+            brute_force_extremal(cfg)
+        return
+    res = brute_force_extremal(cfg)
+    assert (res.density, res.best, res.maximizers, res.searched) == expected
 
 
 def test_check_structure_examples():
