@@ -3,7 +3,8 @@
 Every subcommand prints a machine-readable report (JSON by default, CSV or
 aligned text on request). Identical invocations produce byte-identical
 output. Exit codes: 0 success, 2 flag or input errors (including a search
-space with no t-free graph), 3 refused search space.
+space with no t-free graph or an unwritable realize --out), 3 refused search
+space or realization size.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .optimize import OptimizerConfig, audit_conjecture, rho
 from .partitions import assignment_to_dict
 from .rationals import format_fraction, parse_fraction
 from .serialize import csv_text, dumps, exact_float, float15, table
-from .sphere import BEConfig, graph_stats, realize
+from .sphere import BEConfig, RealizationLimitError, graph_stats, realize
 from .verify import (
     NoFreeGraphError,
     SearchConfig,
@@ -333,22 +334,29 @@ def structure(graph_path, s, t, fmt):
 @click.option("--h", "h", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=str, required=True, help="Edge list output file.")
-@click.option("--s", "s", type=int, default=2, show_default=True, help="Clique order for the density estimate.")
+@click.option("--s", "s", type=click.IntRange(min=0), default=2, show_default=True, help="Clique order for the density estimate.")
 @click.option("--t", "t", type=int, default=None, help="Forbidden clique order to test (default: pair score + 1).")
 @click.option("--clique-budget", type=int, default=100, show_default=True)
 @click.option("--format", "fmt", type=FORMATS, default="json", show_default=True)
 def realize_cmd(graph_path, n_total, epsilon, h, seed, out_path, s, t, clique_budget, fmt):
     """Realize a weighted graph as a concrete sphere-point graph."""
     g = _load(graph_path)
+    # opened before the work, so an unwritable path fails at once
     try:
-        cfg = BEConfig(epsilon=epsilon, h=h, seed=seed)
-        rg = realize(g, n_total, cfg)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    if t is None:
-        t = max_weighted_clique_score(rg.source)[0] + 1
-    stats = graph_stats(rg, s, t, clique_budget=clique_budget, seed=seed)
-    with open(out_path, "w", encoding="utf-8") as fh:
+        fh = open(out_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write edge file {out_path}: {exc}")
+    with fh:
+        try:
+            rg = realize(g, n_total, BEConfig(epsilon=epsilon, h=h, seed=seed))
+        except RealizationLimitError as exc:
+            click.echo(f"refused: {exc}", err=True)
+            sys.exit(3)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
+        if t is None:
+            t = max_weighted_clique_score(rg.source)[0] + 1
+        stats = graph_stats(rg, s, t, clique_budget=clique_budget, seed=seed)
         fh.write(rg.to_edge_text())
     payload = {
         "command": "realize",

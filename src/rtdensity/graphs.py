@@ -46,7 +46,7 @@ class SimpleGraph:
         return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
+        return [(u, u + 1 + d) for u in range(self.n) for d in bits(self.adj[u] >> (u + 1))]
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2

@@ -5,14 +5,17 @@ A weighted graph with edge weights in {0, 1/2, 1} turns into a concrete
 simple graph: parts of points on a unit sphere, complete bipartite joins for
 weight-1 pairs, empty joins for weight 0, and randomly rotated sphere-cap
 joins for weight-1/2 pairs. Near-antipodal points are joined inside a part.
-The construction preserves weighted t-clique freeness as K_t-freeness, which
-the stats report checks exactly at desk scale.
+The adjacency matrix is built block by block from thresholded squared-distance
+arrays and packed into the bitmask rows of a SimpleGraph. The construction
+preserves weighted t-clique freeness as K_t-freeness, which the stats report
+checks exactly at desk scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -27,6 +30,16 @@ from .weighted import HALF, ONE, WeightedGraph, round_edges_up, validate
 
 GUARD_BAND = 1e-9  # squared-distance slack around thresholds; inside it we resample
 _MAX_RESAMPLE = 100
+# Peak memory is under 32 * N^2 bytes for the float64 distance block (and its
+# temporaries) of a part holding all N vertices, plus 40 * h^2 for the QR in
+# random_rotation and 16 * N * h for the points: about 0.8 GiB at the limits.
+MAX_N = 4096
+MAX_H = 2048
+_SAMPLE_BLOCK = 1000  # K_s samples held at once: 8 * s bytes each
+
+
+class RealizationLimitError(RuntimeError):
+    """The requested realization exceeds the documented N or h limit."""
 
 
 @dataclass(frozen=True)
@@ -90,6 +103,21 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(na[:, None] + nb[None, :] - 2.0 * (a @ b.T), 0.0)
 
 
+def _graph_from_upper(adj: np.ndarray) -> SimpleGraph:
+    """SimpleGraph of the strict upper triangle of a square boolean matrix."""
+    upper = np.triu(adj, 1)
+    packed = np.packbits(upper | upper.T, axis=1, bitorder="little")
+    return SimpleGraph(len(adj), tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
+
+
+def _adjacency_matrix(g: SimpleGraph) -> np.ndarray:
+    """The n x n boolean adjacency matrix of g's bitmask rows."""
+    nbytes = (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(nbytes, "little") for row in g.adj), np.uint8)
+    bits = np.unpackbits(packed.reshape(g.n, nbytes), axis=1, count=g.n, bitorder="little")
+    return bits.view(bool)
+
+
 def be_graph(x: np.ndarray, y: np.ndarray, mu: float) -> SimpleGraph:
     """Sphere-cap graph on X then Y: cross pairs join below distance
     sqrt(2) - mu, same-side pairs join above distance 2 - mu (strictly)."""
@@ -98,35 +126,15 @@ def be_graph(x: np.ndarray, y: np.ndarray, mu: float) -> SimpleGraph:
     nx, ny = len(x), len(y)
     cross_thr = (math.sqrt(2.0) - mu) ** 2
     near_thr = (2.0 - mu) ** 2
-    rows = [0] * (nx + ny)
-
-    def add(u, v):
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-
-    dxx = _sq_dists(x, x)
-    for i in range(nx):
-        for j in range(i + 1, nx):
-            if dxx[i, j] > near_thr:
-                add(i, j)
-    dyy = _sq_dists(y, y)
-    for i in range(ny):
-        for j in range(i + 1, ny):
-            if dyy[i, j] > near_thr:
-                add(nx + i, nx + j)
-    dxy = _sq_dists(x, y)
-    for i in range(nx):
-        for j in range(ny):
-            if dxy[i, j] < cross_thr:
-                add(i, nx + j)
-    return SimpleGraph(nx + ny, tuple(rows))
+    adj = np.zeros((nx + ny, nx + ny), dtype=bool)
+    adj[:nx, :nx] = _sq_dists(x, x) > near_thr
+    adj[nx:, nx:] = _sq_dists(y, y) > near_thr
+    adj[:nx, nx:] = _sq_dists(x, y) < cross_thr
+    return _graph_from_upper(adj)
 
 
-def _guard_hit(d2: np.ndarray, thr2: float, upper_only: bool = False) -> bool:
-    mask = np.abs(d2 - thr2) <= GUARD_BAND
-    if upper_only:
-        mask = np.triu(mask, 1)
-    return bool(np.any(mask))
+def _guard_hit(d2: np.ndarray, thr2: float) -> bool:
+    return bool(np.any(np.abs(d2 - thr2) <= GUARD_BAND))
 
 
 @dataclass(frozen=True)
@@ -149,9 +157,15 @@ class RealizedGraph:
         ]
 
     def to_edge_text(self) -> str:
+        """Header `N parts=[n1,...]`, then one `u v` line per edge, u < v,
+        ordered by u and then v."""
         sizes = ",".join(str(x) for x in self.part_sizes)
         lines = [f"{self.n} parts=[{sizes}]"]
-        lines += [f"{u} {v}" for u, v in self.graph.edges()]
+        upper = np.triu(_adjacency_matrix(self.graph), 1)
+        labels = np.array([str(v) for v in range(self.n)], dtype=object)
+        lines += [
+            f"{u} " + f"\n{u} ".join(labels[row]) for u, row in enumerate(upper) if row.any()
+        ]
         return "\n".join(lines) + "\n"
 
 
@@ -176,7 +190,12 @@ def realize(r: WeightedGraph, n_total: int, cfg: BEConfig) -> RealizedGraph:
     floor(weight * N) vertices; every half-weight pair uses an independent
     uniformly random rotation, re-sampled if any squared distance falls
     within the guard band of a threshold, so edge membership is stable.
+    The adjacency matrix is written block by block from the thresholded
+    squared distances that passed the guard-band test. N above MAX_N or h
+    above MAX_H raises RealizationLimitError before anything is allocated.
     """
+    if n_total > MAX_N or cfg.h > MAX_H:
+        raise RealizationLimitError(f"N = {n_total}, h = {cfg.h}: the limits are N <= {MAX_N}, h <= {MAX_H}")
     report = validate(r)
     if not report.ok:
         raise ValueError("invalid weighted graph: " + "; ".join(report.errors))
@@ -190,47 +209,33 @@ def realize(r: WeightedGraph, n_total: int, cfg: BEConfig) -> RealizedGraph:
     for sz in sizes:
         offsets.append(acc)
         acc += sz
+    blocks = [slice(off, off + sz) for off, sz in zip(offsets, sizes)]
     mu = cfg.mu
     near_thr = (2.0 - mu) ** 2
     cross_thr = (math.sqrt(2.0) - mu) ** 2
+    adj = np.zeros((n_total, n_total), dtype=bool)
 
     points: list[np.ndarray] = []
     for i, sz in enumerate(sizes):
         gen = _rng(cfg.seed, 0, i)
-        pts = np.zeros((0, cfg.h))
         for _ in range(_MAX_RESAMPLE):
             pts = _unit_rows(gen, max(sz, 1), cfg.h)[:sz]
-            if sz < 2 or not _guard_hit(_sq_dists(pts, pts), near_thr, upper_only=True):
+            d2 = _sq_dists(pts, pts)
+            if not _guard_hit(np.triu(d2, 1), near_thr):
                 break
         else:
             raise RuntimeError("could not sample part points outside the guard band")
+        adj[blocks[i], blocks[i]] = d2 > near_thr
         points.append(pts)
-
-    rows = [0] * n_total
-
-    def add(u, v):
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
 
     provenance = [["" for _ in range(nparts)] for _ in range(nparts)]
     for i in range(nparts):
         provenance[i][i] = "within-part"
-        pts = points[i]
-        if sizes[i] >= 2:
-            d2 = _sq_dists(pts, pts)
-            for a in range(sizes[i]):
-                for b in range(a + 1, sizes[i]):
-                    if d2[a, b] > near_thr:
-                        add(offsets[i] + a, offsets[i] + b)
-
-    for i in range(nparts):
         for j in range(i + 1, nparts):
             w = rounded.edge_weights[i][j]
             if w == ONE:
                 provenance[i][j] = provenance[j][i] = "complete"
-                for a in range(sizes[i]):
-                    for b in range(sizes[j]):
-                        add(offsets[i] + a, offsets[j] + b)
+                adj[blocks[i], blocks[j]] = True
             elif w == HALF:
                 provenance[i][j] = provenance[j][i] = "BE-rotated"
                 if sizes[i] == 0 or sizes[j] == 0:
@@ -243,17 +248,14 @@ def realize(r: WeightedGraph, n_total: int, cfg: BEConfig) -> RealizedGraph:
                         break
                 else:
                     raise RuntimeError("could not rotate outside the guard band")
-                for a in range(sizes[i]):
-                    for b in range(sizes[j]):
-                        if d2[a, b] < cross_thr:
-                            add(offsets[i] + a, offsets[j] + b)
+                adj[blocks[i], blocks[j]] = d2 < cross_thr
             else:
                 provenance[i][j] = provenance[j][i] = "empty"
 
     return RealizedGraph(
         tuple(sizes),
         tuple(offsets),
-        SimpleGraph(n_total, tuple(rows)),
+        _graph_from_upper(adj),
         tuple(tuple(row) for row in provenance),
         cfg,
         rounded,
@@ -288,12 +290,15 @@ def graph_stats(
     if exact:
         alpha_exact, _ = max_clique(g.complement().adj)
 
+    matrix = _adjacency_matrix(g)
+    blocks = [slice(p.start, p.stop) for p in rg.parts()]
     pair_rows = []
     nparts = len(rg.part_sizes)
     for i in range(nparts):
         for j in range(i, nparts):
-            edges = _count_between(g, rg, i, j)
+            edges = int(matrix[blocks[i], blocks[j]].sum())
             if i == j:
+                edges //= 2  # the diagonal block counts each edge from both ends
                 possible = rg.part_sizes[i] * (rg.part_sizes[i] - 1) // 2
             else:
                 possible = rg.part_sizes[i] * rg.part_sizes[j]
@@ -310,18 +315,16 @@ def graph_stats(
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     hits = 0
-    if s <= n and samples > 0:
-        for _ in range(samples):
-            chosen = rng.choice(n, size=s, replace=False)
-            ok = True
-            for a in range(s):
-                for b in range(a + 1, s):
-                    if not g.has_edge(int(chosen[a]), int(chosen[b])):
-                        ok = False
-                        break
-                if not ok:
+    if s <= n:
+        for start in range(0, samples, _SAMPLE_BLOCK):
+            count = min(_SAMPLE_BLOCK, samples - start)
+            chosen = np.array([rng.choice(n, size=s, replace=False) for _ in range(count)])
+            # keep the samples whose vertex pairs so far are all edges
+            for a, b in combinations(range(s), 2):
+                if not len(chosen):
                     break
-            hits += ok
+                chosen = chosen[matrix[chosen[:, a], chosen[:, b]]]
+            hits += len(chosen)
     return {
         "n": n,
         "part_sizes": list(rg.part_sizes),
@@ -362,19 +365,3 @@ def _greedy_clique(g: SimpleGraph) -> int:
             cand &= g.adj[pick]
         best = max(best, mask.bit_count())
     return best
-
-
-def _count_between(g: SimpleGraph, rg: RealizedGraph, i: int, j: int) -> int:
-    pi = list(rg.parts()[i])
-    pj = list(rg.parts()[j])
-    if i == j:
-        return sum(
-            1
-            for a_idx, a in enumerate(pi)
-            for b in pi[a_idx + 1 :]
-            if g.has_edge(a, b)
-        )
-    mask_j = 0
-    for b in pj:
-        mask_j |= 1 << b
-    return sum((g.adj[a] & mask_j).bit_count() for a in pi)

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from conftest import SCHEMA_DIR
 from rtdensity import WeightedGraph, complete_balanced, dumps_graph, parse_fraction, rho
 from rtdensity.cli import main
+from rtdensity.sphere import MAX_H, MAX_N
 
 
 @pytest.fixture
@@ -160,6 +161,37 @@ def test_realize_byte_identical(runner, counterexample_file, tmp_path):
     a = runner.invoke(main, args)
     b = runner.invoke(main, args)
     assert a.exit_code == 0 and a.output == b.output
+
+
+def realize_args(graph, out, *extra):
+    return [
+        "realize", "--graph", graph, "--N", "16", "--epsilon", "0.2", "--h", "16",
+        "--out", str(out), *extra,
+    ]
+
+
+def test_realize_negative_s_exit_2(runner, counterexample_file, tmp_path):
+    result = runner.invoke(main, realize_args(counterexample_file, tmp_path / "e", "--s", "-1"))
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    payload = run_json(runner, realize_args(counterexample_file, tmp_path / "e", "--s", "0"))
+    assert payload["stats"]["ks_estimate"] == {"s": 0, "samples": 20000, "estimate": 1.0}
+
+
+def test_realize_unwritable_out_exit_2(runner, counterexample_file, tmp_path):
+    for out in (tmp_path / "missing" / "x.edges", tmp_path):
+        result = runner.invoke(main, realize_args(counterexample_file, out))
+        assert result.exit_code == 2
+        assert f"cannot write edge file {out}" in result.output
+        assert "Traceback" not in result.output
+
+
+def test_realize_over_size_limits_refused_exit_3(runner, counterexample_file, tmp_path):
+    # refused before anything is allocated; the N x N matrix is never built
+    for flags in (["--N", str(MAX_N + 1)], ["--h", str(MAX_H + 1)]):
+        result = runner.invoke(main, realize_args(counterexample_file, tmp_path / "e") + flags)
+        assert result.exit_code == 3
+        assert result.output.startswith("refused: ") and result.output.count("\n") == 1
 
 
 def test_malformed_graph_exit_2_with_line(runner, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from rtdensity.graphs import (
     SimpleGraph,
+    bits,
     clique_number,
     greedy_clique_cover,
     greedy_independent_set,
@@ -22,6 +23,17 @@ def brute_clique_number(g: SimpleGraph) -> int:
             if all(g.has_edge(u, v) for u, v in combinations(sub, 2)):
                 return k
     return best
+
+
+def test_edges_lists_each_edge_once_in_order():
+    rng = random.Random(3)
+    for n in (0, 1, 2, 7, 9, 40):
+        for density in (0.0, 0.3, 1.0):
+            pairs = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < density]
+            g = SimpleGraph.from_edges(n, pairs)
+            assert g.edges() == pairs
+            # the comprehension that visited every edge from both ends
+            assert g.edges() == [(u, v) for u in range(n) for v in bits(g.adj[u]) if u < v]
 
 
 def test_clique_number_examples():

@@ -1,13 +1,20 @@
+import dataclasses
+import hashlib
 import math
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from rtdensity import WeightedGraph, complete_balanced
-from rtdensity.graphs import has_clique
+from rtdensity import WeightedGraph, complete_balanced, dumps_graph
+from rtdensity.cli import main
+from rtdensity.graphs import SimpleGraph, has_clique
 from rtdensity.sphere import (
     BEConfig,
+    _sq_dists,
     be_graph,
     graph_stats,
     random_rotation,
@@ -18,6 +25,14 @@ from rtdensity.sphere import (
 
 def half_edge_graph():
     return WeightedGraph.build([F(1, 2), F(1, 2)], {(0, 1): F(1, 2)})
+
+
+def counterexample_graph():
+    """The s = 5, t = 10 graph: six parts of 1/6, three half-weight pairs."""
+    edges = {(u, v): F(1) for u, v in combinations(range(6), 2)}
+    for pair in [(0, 1), (2, 3), (4, 5)]:
+        edges[pair] = F(1, 2)
+    return WeightedGraph.build([F(1, 6)] * 6, edges)
 
 
 def test_sample_sphere_unit_norm_and_determinism():
@@ -137,14 +152,7 @@ def test_realize_rounds_edge_weights_up():
 
 
 def test_realize_counterexample_graph_stays_clique_free():
-    edges = {}
-    for u in range(6):
-        for v in range(u + 1, 6):
-            edges[(u, v)] = F(1)
-    for u, v in [(0, 1), (2, 3), (4, 5)]:
-        edges[(u, v)] = F(1, 2)
-    g = WeightedGraph.build([F(1, 6)] * 6, edges)
-    rg = realize(g, 60, BEConfig(0.2, 16, seed=7))
+    rg = realize(counterexample_graph(), 60, BEConfig(0.2, 16, seed=7))
     assert not has_clique(rg.graph.adj, 10)
     stats = graph_stats(rg, 5, 10)
     assert stats["contains_kt"] == {"t": 10, "value": False, "exact": True}
@@ -175,3 +183,126 @@ def test_ks_estimate_sane():
     # exact K_3 probability for complete 3-partite 10+10+10 on distinct triples
     exact = (1000.0 * 6) / (30 * 29 * 28)
     assert abs(est - exact) < 0.05
+
+
+def reference_be_graph(x, y, mu):
+    """be_graph by scalar threshold tests over the same squared distances."""
+    nx, ny = len(x), len(y)
+    cross_thr = (math.sqrt(2.0) - mu) ** 2
+    near_thr = (2.0 - mu) ** 2
+    edges = []
+    for pts, off in ((x, 0), (y, nx)):
+        d2 = _sq_dists(pts, pts)
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                if d2[i, j] > near_thr:
+                    edges.append((off + i, off + j))
+    d2 = _sq_dists(x, y)
+    for i in range(nx):
+        for j in range(ny):
+            if d2[i, j] < cross_thr:
+                edges.append((i, nx + j))
+    return SimpleGraph.from_edges(nx + ny, edges)
+
+
+def test_be_graph_matches_scalar_reference():
+    rng = np.random.default_rng(17)
+    # in R^3 with a wide mu both the near-antipodal and the cross rule fire often
+    h, mu = 3, 0.3
+    for nx, ny in [(0, 0), (0, 4), (3, 0), (1, 1), (1, 9), (8, 1), (13, 21), (40, 33)]:
+        x = rng.standard_normal((nx, h))
+        y = rng.standard_normal((ny, h))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        g = be_graph(x, y, mu)
+        assert g == reference_be_graph(x, y, mu)
+        if nx + ny > 40:
+            assert 0 < g.edge_count() < (nx + ny) * (nx + ny - 1) // 2
+
+
+def reference_edge_text(rg):
+    lines = [f"{rg.n} parts=[{','.join(str(x) for x in rg.part_sizes)}]"]
+    for u in range(rg.n):
+        for v in range(u + 1, rg.n):
+            if rg.graph.adj[u] >> v & 1:
+                lines.append(f"{u} {v}")
+    return "\n".join(lines) + "\n"
+
+
+def test_edge_text_matches_bit_loop():
+    rgs = [
+        realize(counterexample_graph(), 60, BEConfig(0.2, 16, seed=7)),
+        realize(half_edge_graph(), 37, BEConfig(0.3, 20, seed=2)),
+        realize(complete_balanced(3), 3, BEConfig(0.2, 16, seed=1)),
+    ]
+    # random graphs on the same vertex sets: isolated vertices, n not a multiple of 8
+    rng = random.Random(5)
+    for rg in list(rgs):
+        pairs = [(u, v) for u, v in combinations(range(rg.n), 2) if rng.random() < 0.3]
+        rgs.append(dataclasses.replace(rg, graph=SimpleGraph.from_edges(rg.n, pairs)))
+    rgs.append(dataclasses.replace(rgs[0], graph=SimpleGraph(60, (0,) * 60)))
+    for rg in rgs:
+        assert rg.to_edge_text() == reference_edge_text(rg)
+
+
+def reference_ks_hits(g, s, samples, seed):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    hits = 0
+    for _ in range(samples):
+        chosen = [int(v) for v in rng.choice(g.n, size=s, replace=False)]
+        hits += all(g.has_edge(a, b) for a, b in combinations(chosen, 2))
+    return hits
+
+
+def test_ks_estimate_matches_per_sample_loop():
+    dense = realize(complete_balanced(3), 30, BEConfig(0.2, 16, seed=3))
+    mixed = realize(counterexample_graph(), 60, BEConfig(0.2, 16, seed=7))
+    for rg, s, samples, seed in [
+        (dense, 3, 2500, 9),
+        (dense, 2, 999, 1),
+        (mixed, 5, 3001, 7),
+        (mixed, 0, 10, 0),
+        (mixed, 1, 10, 0),
+        (mixed, 2, 0, 0),
+        (dense, 31, 50, 0),
+    ]:
+        est = graph_stats(rg, s, 4, clique_budget=0, samples=samples, seed=seed)["ks_estimate"]
+        expected = reference_ks_hits(rg.graph, s, samples, seed) / samples if samples and s <= rg.n else 0.0
+        assert est == {"s": s, "samples": samples, "estimate": expected}
+
+
+def test_pair_densities_match_has_edge_counts():
+    # epsilon near 1 widens the near-antipodal cap, so parts get inner edges
+    for rg in (
+        realize(counterexample_graph(), 60, BEConfig(0.2, 16, seed=7)),
+        realize(half_edge_graph(), 200, BEConfig(0.99, 16, seed=1)),
+    ):
+        parts = rg.parts()
+        rows = graph_stats(rg, 2, 10, clique_budget=0)["pair_densities"]
+        for row in rows:
+            i, j = row["i"], row["j"]
+            pairs = combinations(parts[i], 2) if i == j else ((a, b) for a in parts[i] for b in parts[j])
+            assert row["edges"] == sum(rg.graph.has_edge(a, b) for a, b in pairs)
+    assert rows[0]["edges"] > 0
+
+
+def test_realize_golden_sha256(tmp_path):
+    # edge file and text report of the s = 5, t = 10 graph at N = 60, seed 7,
+    # pinned to the values of the per-pair loop construction
+    graph = tmp_path / "r63.json"
+    graph.write_text(dumps_graph(counterexample_graph()))
+    out = tmp_path / "r63.edges"
+    result = CliRunner().invoke(
+        main,
+        [
+            "realize", "--graph", str(graph), "--N", "60", "--epsilon", "0.2", "--h", "16",
+            "--seed", "7", "--s", "5", "--t", "10", "--format", "text", "--out", str(out),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "545616b6785faf2d9d2fbb232db2a66b9e2565c5b132c9dd4b5a342caad6c11b"
+    )
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "fcd88c18a53d4553068d25f99ee4b322c58f20920b195dab3dfd09d497737d83"
+    )
