@@ -16,7 +16,6 @@ from .graphs import SimpleGraph, clique_number, independence_number
 from .optimize import (
     AuditReport,
     OptimizationResult,
-    OptimizerConfig,
     SpecOptimum,
     audit_conjecture,
     balanced_density,

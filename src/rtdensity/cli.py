@@ -14,7 +14,7 @@ import sys
 import click
 
 from .freeness import is_ckt_free, max_weighted_clique_score
-from .optimize import OptimizerConfig, audit_conjecture, rho
+from .optimize import audit_conjecture, rho
 from .partitions import assignment_to_dict
 from .rationals import format_fraction, parse_fraction
 from .serialize import csv_text, dumps, exact_float, float15, table
@@ -31,8 +31,6 @@ from .verify import (
 from .weighted import GraphFormatError, graph_to_dict, load_graph
 
 FORMATS = click.Choice(["json", "csv", "text"])
-# the optimizer's float grid holds 2^grid_bits x (s+1) values
-GRID_BITS = click.IntRange(1, 14)
 
 
 def _load(path: str):
@@ -76,13 +74,11 @@ def main():
 @main.command()
 @click.option("--s", "s", type=int, required=True, help="Clique order being counted.")
 @click.option("--t", "t", type=int, required=True, help="Forbidden clique parameter.")
-@click.option("--grid-bits", type=GRID_BITS, default=12, show_default=True)
 @click.option("--format", "fmt", type=FORMATS, default="json", show_default=True)
-def density(s, t, grid_bits, fmt):
+def density(s, t, fmt):
     """Maximize the K_s-density over admissible partition skeletons."""
-    cfg = OptimizerConfig(grid_bits=grid_bits)
     try:
-        result = rho(s, t, cfg)
+        result = rho(s, t)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     per_spec = []
@@ -94,7 +90,7 @@ def density(s, t, grid_bits, fmt):
                 "part_sizes": list(opt.spec.part_sizes),
                 "weights": assignment_to_dict(opt.weights),
                 "certified": exact_float(opt.certified),
-                "estimate": opt.estimate,
+                "upper": exact_float(opt.upper),
             }
         )
     best = result.per_spec[result.best_index]
@@ -102,7 +98,6 @@ def density(s, t, grid_bits, fmt):
         "command": "density",
         "s": s,
         "t": t,
-        "grid_bits": grid_bits,
         "density": exact_float(result.density),
         "best": {
             "index": result.best_index,
@@ -114,7 +109,7 @@ def density(s, t, grid_bits, fmt):
         "ties": list(result.ties),
         "per_spec": per_spec,
     }
-    header = ["b", "a", "part_sizes", "weights", "certified_exact", "certified_float", "estimate", "best"]
+    header = ["b", "a", "part_sizes", "weights", "certified_exact", "certified_float", "upper_exact", "upper_float", "best"]
     rows = [
         [
             r["b"],
@@ -123,7 +118,8 @@ def density(s, t, grid_bits, fmt):
             " ".join(f"{k}:{v}" for k, v in r["weights"].items()),
             r["certified"]["exact"],
             float(r["certified"]["float"]),
-            float(r["estimate"]),
+            r["upper"]["exact"],
+            float(r["upper"]["float"]),
             i == result.best_index,
         ]
         for i, r in enumerate(per_spec)
@@ -140,17 +136,15 @@ def density(s, t, grid_bits, fmt):
 @click.option("--s", "s", type=int, required=True)
 @click.option("--t-min", type=int, required=True)
 @click.option("--t-max", type=int, required=True)
-@click.option("--grid-bits", type=GRID_BITS, default=12, show_default=True)
 @click.option("--format", "fmt", type=FORMATS, default="json", show_default=True)
-def audit(s, t_min, t_max, grid_bits, fmt):
+def audit(s, t_min, t_max, fmt):
     """Compare the observed best b against max(s, floor(t/2)) for each t."""
     if t_max < t_min:
         raise click.UsageError("--t-max must be at least --t-min")
-    cfg = OptimizerConfig(grid_bits=grid_bits)
     rows_payload = []
     for t in range(t_min, t_max + 1):
         try:
-            rep = audit_conjecture(s, t, cfg)
+            rep = audit_conjecture(s, t)
         except ValueError as exc:
             raise click.UsageError(str(exc))
         rows_payload.append(

@@ -1,54 +1,61 @@
 """Weight optimization over partition skeletons and the conjecture audit.
 
 For a fixed skeleton the feasible weights form at most a one-dimensional
-family (equal-size parts share a weight and the weights sum to one), so the
-inner problem is a polynomial maximization on an interval. Its coefficients
-come from `partitions.class_poly`, the size-class factor of the density
-generating function. The solver scans a float grid, refines by golden
-section, snaps to nearby rationals and certifies each candidate exactly with
-`spec_density`. Every reported density is therefore the exact value at a
-concrete rational weight assignment, hence a true lower bound. The float
-stage needs s! to fit a double, so two-class skeletons need s <= 170.
+family: equal-size parts share a weight and the weights sum to one. A single
+size class forces the uniform weights. With two classes let x be the total
+weight of the larger class. For x in (0, 1) the density is a positive
+rational constant times the integer polynomial
+
+    F(x) = sum_j c_j x^j (1 - x)^(s - j),
+
+built once per skeleton from the two `partitions.class_poly` factors. The
+solver isolates the roots of F' in (0, 1) with Descartes' rule of signs and
+bisection by Taylor shifts (Collins & Akritas, SYMSAC 1976), refines each
+local maximum by integer sign tests to width 2^-64, and evaluates F exactly
+at the uniform point, at every exact root and at the simplest rational
+within 2^-40 of each refined maximum. Only Python integers and `Fraction`s
+are used, so every s is in range. Each skeleton reports two exact values:
+
+- `certified`, the density at the best of those points, a concrete positive
+  rational weight assignment, so `certified` <= supremum;
+- `upper` >= supremum: the largest of the two endpoint limits (a class
+  weight tending to 0, i.e. the other class alone), `certified`, and
+  F(l) + (h - l) * M over each refined interval [l, h], where
+  M = s * max_j c_j / C(s, j) bounds |F'| on [0, 1] because the Bernstein
+  coefficients c_j / C(s, j) of F are nonnegative.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import accumulate
+from math import ceil, comb, factorial, gcd
 
-import numpy as np
-
+# The benchmark tracer patches class_poly, parts_density, spec_density,
+# optimize_spec and rho under their names in this module, so all five stay
+# attributes here even where this module does not call them.
 from .partitions import (
     PartitionSpec,
     WeightAssignment,
     class_poly,
     enumerate_specs,
-    parts_density,
+    parts_density,  # noqa: F401
     spec_density,
     uniform_assignment,
 )
-from .weighted import ONE
+from .weighted import ONE, ZERO
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_TOL = 1e-12
-_SNAP_DENOMINATORS = (10**6, 10**3, 10**2)
-_ENDPOINT_MARGIN = 1e-9  # relative clamp away from degenerate weights
-_MAX_FLOAT_S = 170  # largest s with float(s!) finite
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    grid_bits: int = 12
+REFINE_BITS = 64  # refined maxima and unseparated root clusters are 2^-64 wide
+SNAP_BITS = 40  # certify the simplest rational within 2^-40 of each maximum
 
 
 @dataclass(frozen=True)
 class SpecOptimum:
     spec: PartitionSpec
     weights: WeightAssignment
-    certified: Fraction  # exact density at `weights`
-    estimate: float  # float estimate of the spec's supremum
+    certified: Fraction  # exact density at `weights`, <= the spec's supremum
+    upper: Fraction  # exact bound, >= the spec's supremum
 
 
 @dataclass(frozen=True)
@@ -97,138 +104,189 @@ class PeriodicityReport:
     concavity_failures: tuple[ConcavityFailure, ...]
 
 
-def _assignment(n_large: int, n_small: int, p: Fraction, q: Fraction) -> WeightAssignment:
-    return WeightAssignment(((n_large, p), (n_small, q)))
+def _taylor_shift1(c: list[int]) -> list[int]:
+    """Coefficients of p(x + 1), lowest degree first."""
+    c = list(c)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += c[j + 1]
+    return c
 
 
-def optimize_spec(spec: PartitionSpec, cfg: OptimizerConfig | None = None) -> SpecOptimum:
-    """Best rational weight assignment found for one skeleton.
+def _sign_changes(c: list[int]) -> int:
+    signs = [x > 0 for x in c if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    One size class forces the uniform assignment. With two classes the
-    per-vertex weight p of the larger class is the free parameter on
-    (0, 1/S_L); the search clamps slightly inside the open interval, and the
-    degenerate endpoints (a class weight tending to 0) are evaluated in the
-    limit sense by deleting the class. If an endpoint limit beats the best
-    interior point, rationals walking toward that endpoint are certified
-    until one wins, so the returned assignment is always strictly positive.
-    Two-class skeletons with s > 170 raise ValueError: the float stage
-    cannot represent s!.
+
+def _dyadic_eval(c: list[int], a: int, k: int) -> int:
+    """2^(k*deg) * p(a / 2^k) for p with coefficients c, by homogeneous Horner."""
+    v = 0
+    for i, x in enumerate(reversed(c)):
+        v = v * a + (x << (k * i))
+    return v
+
+
+def _hom_eval(c: list[int], u: int, v: int) -> int:
+    """v^deg * p(u / v) for p with coefficients c."""
+    acc, vp = 0, 1
+    for x in reversed(c):
+        acc = acc * u + x * vp
+        vp *= v
+    return acc
+
+
+def _isolate(h: list[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Roots of h in (0, 1), given h(0) != 0 and h(1) != 0.
+
+    Dyadics (a, k) stand for a / 2^k. Returns the roots found exactly and the
+    intervals [a / 2^k, (a + 1) / 2^k] where h may go from + to -: those
+    holding one root at which it does, and clusters of roots still
+    unseparated at width 2^-REFINE_BITS.
     """
-    cfg = cfg or OptimizerConfig()
+    roots, peaks = [], []
+    stack = [(h, 0, 0)]  # p(x) is a positive multiple of h((x + a) / 2^k)
+    while stack:
+        p, a, k = stack.pop()
+        v = _sign_changes(_taylor_shift1(p[::-1]))  # Descartes' bound on (0, 1)
+        if (v == 1 and p[0] > 0) or (v > 1 and k == REFINE_BITS):
+            peaks.append((a, k))
+        if v < 2 or k == REFINE_BITS:
+            continue
+        deg = len(p) - 1
+        left = [c << (deg - i) for i, c in enumerate(p)]
+        right = _taylor_shift1(left)
+        if right[0] == 0:  # the midpoint is a root: divide it out
+            roots.append((2 * a + 1, k + 1))
+            right = right[next(i for i, c in enumerate(right) if c):]
+        stack += [(left, 2 * a, k + 1), (right, 2 * a + 1, k + 1)]
+    return roots, peaks
+
+
+def _refine(h: list[int], a: int, k: int) -> tuple[int, int, bool]:
+    """Bisect a peak interval of h down to width 2^-REFINE_BITS.
+
+    h > 0 just right of a / 2^k and changes sign once inside. Returns the
+    final interval as (a, k, False), or (a, k, True) if a / 2^k is a root.
+    """
+    while k < REFINE_BITS:
+        a, k = 2 * a + 1, k + 1  # the midpoint
+        sign = _dyadic_eval(h, a, k)
+        if sign == 0:
+            return a, k, True
+        if sign < 0:
+            a -= 1
+    return a, k, False
+
+
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational with the least denominator in [lo, hi], 0 < lo <= hi
+    (a walk down the Stern-Brocot tree by continued fractions)."""
+    n = ceil(lo)
+    if n <= hi:
+        return Fraction(n)
+    f = n - 1
+    return f + 1 / _simplest_between(1 / (hi - f), 1 / (lo - f))
+
+
+def optimize_spec(spec: PartitionSpec) -> SpecOptimum:
+    """Certified point and upper bound of the density over one skeleton.
+
+    One size class forces the uniform assignment, and upper == certified.
+    With two classes, x = S_L * p in (0, 1) is the free parameter, where p
+    is the per-vertex weight of the larger class and S_L the number of its
+    vertices; see the module docstring for the method. The returned
+    assignment is always strictly positive: an endpoint limit that beats
+    every interior point raises `upper`, never `certified`.
+    """
     s = spec.s
     classes = spec.size_classes()
     if len(classes) == 1:
         w = uniform_assignment(spec)
         cert = spec_density(spec, w, s)
-        return SpecOptimum(spec, w, cert, float(cert))
+        return SpecOptimum(spec, w, cert, cert)
 
-    if s > _MAX_FLOAT_S:
-        raise ValueError(f"s ≤ {_MAX_FLOAT_S} is supported by the float optimizer")
     (n_large, k_large), (n_small, k_small) = classes
     sum_large = n_large * k_large
     sum_small = n_small * k_small
     alpha = class_poly(n_large, k_large, s)
     beta = class_poly(n_small, k_small, s)
-    alpha_f = np.zeros(s + 1)
-    alpha_f[: len(alpha)] = [float(x) for x in alpha]
-    beta_f = np.zeros(s + 1)
-    beta_f[: len(beta)] = [float(x) for x in beta]
-    s_fact = float(factorial(s))
-    hi = 1.0 / sum_large
+    alpha += [ZERO] * (s + 1 - len(alpha))
+    beta += [ZERO] * (s + 1 - len(beta))
+    den_a = max(x.denominator for x in alpha)  # both arrays are dyadic
+    den_b = max(x.denominator for x in beta)
+    c = [
+        (u.numerator * den_a // u.denominator) * (v.numerator * den_b // v.denominator)
+        * sum_small**j * sum_large ** (s - j)
+        for j, (u, v) in enumerate(zip(alpha, reversed(beta)))
+    ]
+    g = gcd(*c) or 1  # F = 0 when the skeleton has fewer than s vertices
+    c = [x // g for x in c]
+    # density = scale * F(x)
+    scale = Fraction(factorial(s) * g, den_a * den_b * sum_large**s * sum_small**s)
 
-    def objective_grid(ps: np.ndarray) -> np.ndarray:
-        qs = (1.0 - sum_large * ps) / sum_small
-        powers = np.arange(s + 1)
-        a_terms = np.power(ps[:, None], powers) * alpha_f
-        b_terms = np.power(qs[:, None], powers) * beta_f
-        return s_fact * np.einsum("gj,gj->g", a_terms, b_terms[:, ::-1])
+    # F in the power basis, by Horner in 1 - x: F_j = F_{j-1} (1 - x) + c_j x^j
+    power = [c[0]]
+    for j in range(1, s + 1):
+        power = [u - v for u, v in zip(power + [0], [0] + power)]
+        power[j] += c[j]
+    # F' with its roots at 0 and 1 divided out; x and 1 - x are positive on
+    # (0, 1), so h has the sign of F' there
+    h = [m * x for m, x in enumerate(power)][1:]
+    while h and h[-1] == 0:
+        h.pop()
+    if h:
+        h = h[next(i for i, x in enumerate(h) if x):]
+        while sum(h) == 0:  # h = (1 - x) * q with q_i = h_0 + ... + h_i
+            h = list(accumulate(h))[:-1]
+    roots, peaks = _isolate(h) if len(h) > 1 else ([], [])
 
-    def objective_scalar(p: float) -> float:
-        q = (1.0 - sum_large * p) / sum_small
-        p_pows = [1.0] * (s + 1)
-        q_pows = [1.0] * (s + 1)
-        for j in range(1, s + 1):
-            p_pows[j] = p_pows[j - 1] * p
-            q_pows[j] = q_pows[j - 1] * q
-        total = 0.0
-        for j in range(s + 1):
-            total += alpha_f[j] * beta_f[s - j] * p_pows[j] * q_pows[s - j]
-        return s_fact * total
+    intervals = []
+    for a, k in peaks:
+        a, k, exact = _refine(h, a, k)
+        (roots if exact else intervals).append((a, k))
+    # the uniform point x = S_L / b, every exact root, and a short rational
+    # near each interval, kept strictly inside (0, 1)
+    eps = Fraction(1, 1 << SNAP_BITS)
+    candidates = {Fraction(sum_large, spec.b)} | {Fraction(a, 1 << k) for a, k in roots}
+    for a, k in intervals:
+        mid = Fraction(2 * a + 1, 1 << (k + 1))
+        lo, hi = max(mid - eps, mid / 2), min(mid + eps, (1 + mid) / 2)
+        candidates.add(_simplest_between(lo, hi))
+    best_f, best_x = max(
+        (Fraction(_hom_eval(power, x.numerator, x.denominator), x.denominator**s), x)
+        for x in candidates
+    )
 
-    margin = _ENDPOINT_MARGIN * hi
-    grid = np.linspace(margin, hi - margin, 2 ** cfg.grid_bits)
-    values = objective_grid(grid)
-    best_idx = int(np.argmax(values))
-    lo_b = grid[max(best_idx - 1, 0)]
-    hi_b = grid[min(best_idx + 1, len(grid) - 1)]
-
-    lo, hi_g = lo_b, hi_b
-    while hi_g - lo > _GOLDEN_TOL:
-        c = hi_g - _INVPHI * (hi_g - lo)
-        d = lo + _INVPHI * (hi_g - lo)
-        if objective_scalar(c) >= objective_scalar(d):
-            hi_g = d
-        else:
-            lo = c
-    p_star = (lo + hi_g) / 2.0
-    estimate = objective_scalar(p_star)
-
-    # rational candidates, exact certification
-    p_max = Fraction(1, sum_large)
-    candidates: list[Fraction] = []
-    for limit in _SNAP_DENOMINATORS:
-        candidates.append(Fraction(p_star).limit_denominator(limit))
-    candidates.append(Fraction(1, spec.b))  # exact uniform point
-    seen: set[Fraction] = set()
-    best_p: Fraction | None = None
-    best_val: Fraction | None = None
-    for p in candidates:
-        if p in seen or p <= 0 or p >= p_max:
-            continue
-        seen.add(p)
-        q = (ONE - sum_large * p) / sum_small
-        val = spec_density(spec, _assignment(n_large, n_small, p, q), s)
-        if best_val is None or val > best_val:
-            best_val, best_p = val, p
-    assert best_p is not None and best_val is not None
-
-    # degenerate endpoints, evaluated by deleting the vanishing class
-    limit_p0 = parts_density([(n_small, Fraction(1, sum_small))] * k_small, s)
-    limit_q0 = parts_density([(n_large, Fraction(1, sum_large))] * k_large, s)
-    for limit_val, toward_p_zero in ((limit_p0, True), (limit_q0, False)):
-        if limit_val <= best_val:
-            continue
-        shift = Fraction(1, 4)
-        for _ in range(200):
-            p = p_max * shift if toward_p_zero else p_max * (1 - shift)
-            q = (ONE - sum_large * p) / sum_small
-            val = spec_density(spec, _assignment(n_large, n_small, p, q), s)
-            if val > best_val:
-                best_val, best_p = val, p
-                break
-            shift /= 2
-
-    q_best = (ONE - sum_large * best_p) / sum_small
-    weights = _assignment(n_large, n_small, best_p, q_best)
-    estimate = max(estimate, float(best_val), float(limit_p0), float(limit_q0))
-    return SpecOptimum(spec, weights, best_val, estimate)
+    # the supremum is F(0) or F(1), the limits with one class deleted, or a
+    # maximum at an exact root (<= best_f) or inside one of the intervals
+    slope = s * max(Fraction(x, comb(s, j)) for j, x in enumerate(c))  # >= |F'|
+    upper = max(
+        [best_f, Fraction(c[0]), Fraction(c[s])]
+        + [
+            Fraction(_dyadic_eval(power, a, k), 1 << (k * s)) + slope / (1 << k)
+            for a, k in intervals
+        ]
+    )
+    weights = WeightAssignment(
+        ((n_large, best_x / sum_large), (n_small, (1 - best_x) / sum_small))
+    )
+    return SpecOptimum(spec, weights, scale * best_f, scale * upper)
 
 
-def rho(s: int, t: int, cfg: OptimizerConfig | None = None) -> OptimizationResult:
+def rho(s: int, t: int) -> OptimizationResult:
     """Maximize the certified density over every admissible skeleton."""
-    cfg = cfg or OptimizerConfig()
     if not (2 <= s <= t - 2):
         raise ValueError("need 2 <= s <= t - 2")
     specs = enumerate_specs(s, t)
-    optima = [optimize_spec(sp, cfg) for sp in specs]
+    optima = [optimize_spec(sp) for sp in specs]
     density = max(o.certified for o in optima)
     ties = tuple(i for i, o in enumerate(optima) if o.certified == density)
     return OptimizationResult(s, t, tuple(optima), ties[0], density, ties)
 
 
-def audit_conjecture(s: int, t: int, cfg: OptimizerConfig | None = None) -> AuditReport:
+def audit_conjecture(s: int, t: int) -> AuditReport:
     """Compare the observed best b against max(s, floor(t/2))."""
-    result = rho(s, t, cfg)
+    result = rho(s, t)
     conjectured_b = max(s, t // 2)
     at_conjectured = [
         o.certified for o in result.per_spec if o.spec.b == conjectured_b
@@ -259,7 +317,6 @@ def balanced_density(x: Fraction | int, s: int) -> Fraction:
 def periodicity_check(
     s: int,
     t_max: int,
-    cfg: OptimizerConfig | None = None,
     concavity_max: int = 40,
 ) -> PeriodicityReport:
     """Audit every t up to t_max and test midpoint concavity of the balanced
@@ -268,7 +325,7 @@ def periodicity_check(
         raise ValueError("s must be at least 3")
     rows = []
     for t in range(s + 2, t_max + 1):
-        rep = audit_conjecture(s, t, cfg)
+        rep = audit_conjecture(s, t)
         rows.append(
             PeriodicityRow(t, rep.observed_b, rep.conjectured_b, rep.observed_b == rep.conjectured_b)
         )

@@ -20,16 +20,19 @@ from .rationals import RationalLike, as_fraction, format_fraction
 from .weighted import HALF, ONE, ZERO, WeightedGraph, ks_density
 
 SEARCH_SPACE_LIMIT = 10**8
+# The search stores every weight composition (n ints) and its weight product
+# for each s-subset: C(D-1, n-1) * (C(n, s) + n) ints, each at most ~70 bytes
+# with its list slot (67 B measured at n = 3, s = 3). At this limit they take
+# under 0.7 GiB; the orbit bytearray adds at most SEARCH_SPACE_LIMIT bytes.
+WEIGHT_CELL_LIMIT = 10**7
 CANONICAL_MAX_N = 6  # permutation canonicalization is factorial; keep it tiny
 
 
 class SearchSpaceError(RuntimeError):
     """The requested brute-force search exceeds the documented budget."""
 
-    def __init__(self, size: int):
-        super().__init__(
-            f"search space of {size} states exceeds the limit of {SEARCH_SPACE_LIMIT}"
-        )
+    def __init__(self, size: int, limit: int = SEARCH_SPACE_LIMIT, unit: str = "states"):
+        super().__init__(f"search space of {size} {unit} exceeds the limit of {limit}")
         self.size = size
 
 
@@ -72,6 +75,13 @@ def default_search_config(
 def search_space_size(cfg: SearchConfig) -> int:
     compositions = comb(cfg.weight_denominator - 1, cfg.n - 1)
     return compositions * len(cfg.edge_alphabet) ** comb(cfg.n, 2)
+
+
+def search_weight_cells(cfg: SearchConfig) -> int:
+    """Integers the search stores for the weight compositions and their
+    per-subset weight products."""
+    compositions = comb(cfg.weight_denominator - 1, cfg.n - 1)
+    return compositions * (comb(cfg.n, cfg.s) + cfg.n)
 
 
 @dataclass(frozen=True)
@@ -149,6 +159,9 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
     size = search_space_size(cfg)
     if size > SEARCH_SPACE_LIMIT:
         raise SearchSpaceError(size)
+    cells = search_weight_cells(cfg)
+    if cells > WEIGHT_CELL_LIMIT:
+        raise SearchSpaceError(cells, WEIGHT_CELL_LIMIT, "stored weight integers")
     n, d, s, t = cfg.n, cfg.weight_denominator, cfg.s, cfg.t
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     pair_index = {pair: i for i, pair in enumerate(pairs)}

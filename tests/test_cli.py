@@ -13,6 +13,13 @@ from conftest import SCHEMA_DIR
 from rtdensity import WeightedGraph, complete_balanced, dumps_graph, parse_fraction, rho
 from rtdensity.cli import main
 from rtdensity.sphere import MAX_H, MAX_N
+from rtdensity.verify import (
+    SEARCH_SPACE_LIMIT,
+    WEIGHT_CELL_LIMIT,
+    SearchConfig,
+    search_space_size,
+    search_weight_cells,
+)
 
 
 @pytest.fixture
@@ -56,6 +63,10 @@ def test_density_json_and_schema(runner):
     payload = run_json(runner, ["density", "--s", "2", "--t", "4"])
     assert payload["density"]["exact"] == "1/4"
     assert payload["best"]["b"] == 2
+    assert all(
+        parse_fraction(r["certified"]["exact"]) <= parse_fraction(r["upper"]["exact"])
+        for r in payload["per_spec"]
+    )
     validate_schema(payload, "density")
 
 
@@ -100,6 +111,20 @@ def test_search_refusal_exit_code(runner):
     )
     assert result.exit_code == 3
     assert "refused" in result.output
+
+
+def test_search_over_weight_memory_limit_exit_3(runner):
+    # under the state limit, but the stored weight products would not fit the
+    # memory budget; the refusal comes before any of them is built
+    def cfg(d):
+        return SearchConfig(3, d, (F(1, 2), F(1)), 3, 5)
+
+    assert search_weight_cells(cfg(2237)) <= WEIGHT_CELL_LIMIT < search_weight_cells(cfg(2238))
+    assert search_space_size(cfg(2238)) <= SEARCH_SPACE_LIMIT
+    result = runner.invoke(main, ["search", "--n", "3", "--s", "3", "--t", "5", "-d", "2238"])
+    assert result.exit_code == 3
+    assert result.output.startswith("refused: ") and result.output.count("\n") == 1
+    assert "weight" in result.output
 
 
 def test_search_without_result_exit_2(runner):
@@ -220,22 +245,6 @@ def test_csv_and_text_formats(runner, k5_file):
     assert result.exit_code == 0
     header = result.output.splitlines()[0]
     assert header.startswith("b,a,part_sizes")
-
-
-def test_grid_bits_out_of_range_exit_2(runner):
-    for cmd in (["density", "--s", "5", "--t", "11"],
-                ["audit", "--s", "5", "--t-min", "10", "--t-max", "10"]):
-        for bits in ("-1", "15"):
-            result = runner.invoke(main, cmd + ["--grid-bits", bits])
-            assert result.exit_code == 2
-            assert "Traceback" not in result.output
-
-
-def test_density_s_above_float_range_exit_2(runner):
-    result = runner.invoke(main, ["density", "--s", "171", "--t", "343"])
-    assert result.exit_code == 2
-    assert "s ≤ 170" in result.output
-    assert "Traceback" not in result.output
 
 
 def test_density_exact_past_int_str_digit_limit(runner):

@@ -2,9 +2,11 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtdensity import (
-    OptimizerConfig,
+    PartitionSpec,
     WeightAssignment,
     audit_conjecture,
     balanced_density,
@@ -13,20 +15,22 @@ from rtdensity import (
     periodicity_check,
     rho,
     spec_density,
+    uniform_assignment,
 )
+from rtdensity.optimize import REFINE_BITS, _isolate
 
 
 def test_optimize_single_class_uniform():
     spec = enumerate_specs(5, 11)[0]  # (5,5)
     opt = optimize_spec(spec)
-    assert opt.certified == F(24, 625)
+    assert opt.certified == opt.upper == F(24, 625)
     assert opt.weights.weight_for(1) == F(1, 5)
 
 
 def test_optimize_two_class_snaps_to_exact_optimum():
     spec = enumerate_specs(5, 10)[0]  # (5,4) sizes (2,1,1,1)
     opt = optimize_spec(spec)
-    assert opt.certified == F(12, 625)
+    assert opt.certified == F(12, 625) <= opt.upper
     assert opt.weights.weight_for(2) == F(1, 5)
     assert opt.weights.weight_for(1) == F(1, 5)
 
@@ -42,9 +46,9 @@ def test_optimize_beats_balanced_graph_for_t11():
 
 
 def test_certified_reproducible_bit_for_bit():
-    for s, t in [(2, 6), (3, 8), (5, 10), (5, 11)]:
+    for s, t in [(2, 6), (3, 8), (5, 10), (5, 11), (40, 80), (60, 121)]:
         for opt in rho(s, t).per_spec:
-            assert spec_density(opt.spec, opt.weights, s) == opt.certified
+            assert spec_density(opt.spec, opt.weights, s) == opt.certified <= opt.upper
 
 
 def test_weight_ordering_at_optima():
@@ -55,16 +59,6 @@ def test_weight_ordering_at_optima():
             if len(classes) == 2:
                 (n_large, _), (n_small, _) = classes
                 assert opt.weights.weight_for(n_large) <= opt.weights.weight_for(n_small)
-
-
-def test_grid_refinement_stability():
-    for s, t in [(2, 6), (5, 10), (5, 11)]:
-        for spec in enumerate_specs(s, t):
-            if len(spec.size_classes()) != 2:
-                continue
-            e12 = optimize_spec(spec, OptimizerConfig(grid_bits=12)).estimate
-            e13 = optimize_spec(spec, OptimizerConfig(grid_bits=13)).estimate
-            assert abs(e12 - e13) < 1e-9
 
 
 def test_rho_classical_s2_values():
@@ -123,8 +117,61 @@ def test_periodicity_small_s3():
         periodicity_check(2, 8)
 
 
-def test_estimate_close_to_certified():
+def test_upper_close_to_certified():
     for s, t in [(5, 10), (5, 11)]:
         for opt in rho(s, t).per_spec:
-            assert opt.estimate >= float(opt.certified) - 1e-12
-            assert abs(opt.estimate - float(opt.certified)) < 1e-6
+            assert opt.certified <= opt.upper
+            assert opt.upper - opt.certified <= F(1, 10**12) * opt.upper
+
+
+def _spec_with_b(s, t, b):
+    return next(sp for sp in enumerate_specs(s, t) if sp.b == b)
+
+
+def test_certified_beats_uniform_at_large_s():
+    # the optimum is an interior point other than the uniform one
+    for b in (161, 220):
+        spec = _spec_with_b(160, 321, b)
+        opt = optimize_spec(spec)
+        assert opt.certified > spec_density(spec, uniform_assignment(spec), 160)
+        assert opt.certified <= opt.upper
+
+
+def test_two_class_skeleton_past_float_range():
+    opt = optimize_spec(_spec_with_b(171, 343, 172))
+    assert 0 < opt.certified <= opt.upper
+
+
+def test_isolate_dyadic_and_double_roots():
+    # no skeleton up to s = 12, t < 80 reaches these branches
+    roots, peaks = _isolate([1, -5, 6])  # (2x - 1)(3x - 1)
+    assert roots == [(1, 1)] and peaks == [(0, 1)]  # x = 1/2 exactly; 1/3 in [0, 1/2]
+    roots, peaks = _isolate([1, -6, 9])  # (3x - 1)^2 never changes sign
+    ((a, k),) = peaks
+    assert roots == [] and k == REFINE_BITS and F(a, 2**k) < F(1, 3) < F(a + 1, 2**k)
+
+
+@st.composite
+def two_class_specs(draw):
+    s = draw(st.integers(2, 12))
+    n_small = draw(st.integers(1, 6))
+    n_large = draw(st.integers(n_small + 1, 8))
+    k_large, k_small = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    sizes = (n_large,) * k_large + (n_small,) * k_small
+    a = len(sizes)
+    return PartitionSpec(s, sum(sizes) + a + 1, sum(sizes), a, sizes)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(two_class_specs(), st.lists(st.fractions(0, 1), min_size=1, max_size=4))
+def test_enclosure_on_random_two_class_skeletons(spec, points):
+    s = spec.s
+    opt = optimize_spec(spec)
+    assert opt.certified == spec_density(spec, opt.weights, s) <= opt.upper
+    # the density at other interior points never exceeds the upper bound
+    (n_large, k_large), (n_small, k_small) = spec.size_classes()
+    for x in points:
+        if 0 < x < 1:
+            p, q = x / (n_large * k_large), (1 - x) / (n_small * k_small)
+            w = WeightAssignment(((n_large, p), (n_small, q)))
+            assert spec_density(spec, w, s) <= opt.upper
