@@ -103,7 +103,9 @@ def _lex_min_witness(
                     chosen.pop()
             return None
 
-        return rec(0)
+        found = rec(0)
+        del rec  # break the closure's reference cycle
+        return found
 
     s1: list[int] = []
 
@@ -126,7 +128,9 @@ def _lex_min_witness(
                 s1.pop()
         return None
 
-    return rec1(0)
+    found = rec1(0)
+    del rec1  # break the closure's reference cycle
+    return found
 
 
 def is_ckt_free(g: WeightedGraph, t: int) -> FreenessResult:

@@ -109,6 +109,7 @@ def max_clique(
             p &= ~vbit
 
     expand(0, 0, candidates)
+    del expand  # it refers to itself through its closure cell: break the cycle
     return best_size, best_mask
 
 
@@ -159,6 +160,7 @@ def maximal_cliques(adj: Sequence[int], candidates: int | None = None) -> list[i
             x |= vbit
 
     bk(0, candidates, 0)
+    del bk  # break the closure's reference cycle
     return out
 
 

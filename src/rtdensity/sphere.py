@@ -33,6 +33,8 @@ _MAX_RESAMPLE = 100
 # Peak memory is under 32 * N^2 bytes for the float64 distance block (and its
 # temporaries) of a part holding all N vertices, plus 40 * h^2 for the QR in
 # random_rotation and 16 * N * h for the points: about 0.8 GiB at the limits.
+# graph_stats stays within the same budget: the N^2-byte boolean adjacency
+# matrix plus float32 row blocks of about 1 MiB for the greedy clique.
 MAX_N = 4096
 MAX_H = 2048
 _SAMPLE_BLOCK = 1000  # K_s samples held at once: 8 * s bytes each
@@ -262,6 +264,20 @@ def realize(r: WeightedGraph, n_total: int, cfg: BEConfig) -> RealizedGraph:
     )
 
 
+def _floyd_samples(rng: np.random.Generator, n: int, s: int, count: int) -> np.ndarray:
+    """count uniform s-subsets of range(n), one per row, for 0 <= s <= n.
+
+    Floyd's algorithm (Bentley and Floyd, CACM 1987) on all rows at once:
+    column k draws from range(n - s + k + 1) and takes n - s + k instead
+    when its draw repeats an earlier column of the row.
+    """
+    chosen = rng.integers(0, np.arange(n - s + 1, n + 1), size=(count, s))
+    for k in range(1, s):
+        repeat = (chosen[:, :k] == chosen[:, k, None]).any(axis=1)
+        chosen[repeat, k] = n - s + k
+    return chosen
+
+
 def graph_stats(
     rg: RealizedGraph,
     s: int,
@@ -274,15 +290,18 @@ def graph_stats(
 
     Clique and independence numbers are exact below the vertex budget and
     greedy bounds above it (flagged). The K_t test is always exact. The
-    K_s-density estimate is a seeded sample over distinct vertex tuples.
+    K_s-density estimate is the fraction of cliques among `samples` uniform
+    s-subsets of the vertices, drawn by Floyd's algorithm from a generator
+    seeded with (seed, 2).
     """
     g = rg.graph
     n = g.n
+    matrix = _adjacency_matrix(g)
     exact = n <= clique_budget
     if exact:
         omega, _ = max_clique(g.adj)
     else:
-        omega = _greedy_clique(g)
+        omega = _greedy_clique(matrix)
     contains_kt = has_clique(g.adj, t)
     ind_lower = len(greedy_independent_set(g))
     ind_upper = greedy_clique_cover(g)
@@ -290,7 +309,6 @@ def graph_stats(
     if exact:
         alpha_exact, _ = max_clique(g.complement().adj)
 
-    matrix = _adjacency_matrix(g)
     blocks = [slice(p.start, p.stop) for p in rg.parts()]
     pair_rows = []
     nparts = len(rg.part_sizes)
@@ -318,7 +336,7 @@ def graph_stats(
     if s <= n:
         for start in range(0, samples, _SAMPLE_BLOCK):
             count = min(_SAMPLE_BLOCK, samples - start)
-            chosen = np.array([rng.choice(n, size=s, replace=False) for _ in range(count)])
+            chosen = _floyd_samples(rng, n, s, count)
             # keep the samples whose vertex pairs so far are all edges
             for a, b in combinations(range(s), 2):
                 if not len(chosen):
@@ -344,24 +362,25 @@ def graph_stats(
     }
 
 
-def _greedy_clique(g: SimpleGraph) -> int:
-    best = 0
-    order = sorted(range(g.n), key=lambda v: -g.adj[v].bit_count())
-    for start in order[: min(g.n, 40)]:
-        mask = 1 << start
-        cand = g.adj[start]
-        while cand:
-            pick = -1
-            pick_deg = -1
-            m = cand
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                deg = (g.adj[v] & cand).bit_count()
-                if deg > pick_deg:
-                    pick, pick_deg = v, deg
-            mask |= 1 << pick
-            cand &= g.adj[pick]
-        best = max(best, mask.bit_count())
-    return best
+def _greedy_clique(matrix: np.ndarray) -> int:
+    """Largest greedy clique grown from each of the 40 highest-degree vertices.
+
+    A clique grows by the candidate with the most neighbours among the
+    remaining candidates, the lowest index on ties. All starts grow at once:
+    one float32 product per step counts those neighbours exactly (n < 2^24).
+    The product runs on row blocks of about 1 MiB: a whole float32 copy of
+    the matrix was measured to raise a realize pass's peak memory.
+    """
+    n = len(matrix)
+    rows = 2**18 // max(n, 1) + 1
+    starts = np.argsort(-matrix.sum(axis=1), kind="stable")[:40]
+    cand = matrix[:, starts].astype(np.float32)  # column j: 0/1 candidates of start j
+    size = np.ones(len(starts), dtype=np.int64)
+    while cand.any():
+        counts = np.concatenate(
+            [matrix[r : r + rows].astype(np.float32) @ cand for r in range(0, n, rows)]
+        )
+        counts[cand == 0] = -1
+        size += cand.any(axis=0)
+        cand *= matrix[:, counts.argmax(axis=0)]
+    return int(size.max(initial=0))

@@ -182,6 +182,7 @@ def h_density(g: WeightedGraph, h: SimpleGraph) -> Fraction:
             rec(i + 1, p)
 
     rec(0, ONE)
+    del rec  # break the closure's reference cycle
     return total
 
 
@@ -238,6 +239,7 @@ def _subset_sum(
             chosen.pop()
 
     rec(0, prefix_product)
+    del rec  # break the closure's reference cycle
     return total
 
 

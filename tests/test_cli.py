@@ -203,6 +203,14 @@ def test_realize_negative_s_exit_2(runner, counterexample_file, tmp_path):
     assert payload["stats"]["ks_estimate"] == {"s": 0, "samples": 20000, "estimate": 1.0}
 
 
+def test_realize_t_below_one_exit_2(runner, counterexample_file, tmp_path):
+    for t in ("-3", "0"):
+        result = runner.invoke(main, realize_args(counterexample_file, tmp_path / "e", "--t", t))
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert "--t" in result.output
+
+
 def test_realize_unwritable_out_exit_2(runner, counterexample_file, tmp_path):
     for out in (tmp_path / "missing" / "x.edges", tmp_path):
         result = runner.invoke(main, realize_args(counterexample_file, out))

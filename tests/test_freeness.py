@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -5,9 +6,12 @@ import pytest
 
 from conftest import random_graph
 from rtdensity import (
+    SimpleGraph,
     WeightedGraph,
     complete_balanced,
+    h_density,
     is_ckt_free,
+    ks_density,
     max_weighted_clique_score,
     realize_spec,
     round_edges_up,
@@ -70,6 +74,19 @@ def test_is_ckt_free_examples():
     assert not res.free
     assert res.trimmed.score == 5
     assert len(res.trimmed.s1) == 3 and len(res.trimmed.s2) == 2
+
+
+def test_recursive_searches_leave_no_reference_cycles():
+    k5 = complete_balanced(5)
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_ckt_free(k5, 10).trimmed.score == 10
+        assert gc.collect() == 0
+        assert ks_density(k5, 3) == h_density(k5, SimpleGraph.complete(3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_is_ckt_free_agrees_with_enumeration(rng):

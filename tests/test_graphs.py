@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations
 
@@ -109,3 +110,18 @@ def test_from_edges_rejects_bad_input():
         SimpleGraph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         SimpleGraph.from_edges(3, [(0, 3)])
+
+
+def test_clique_searches_leave_no_reference_cycles():
+    # a recursive closure that keeps itself alive would hold adj until a GC pass
+    rng = random.Random(11)
+    g = SimpleGraph.from_edges(30, [e for e in combinations(range(30), 2) if rng.random() < 0.5])
+    gc.collect()
+    gc.disable()
+    try:
+        assert has_clique(g.adj, 4)
+        assert gc.collect() == 0
+        assert maximal_cliques(g.adj)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

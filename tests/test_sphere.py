@@ -13,7 +13,11 @@ from rtdensity import WeightedGraph, complete_balanced, dumps_graph
 from rtdensity.cli import main
 from rtdensity.graphs import SimpleGraph, has_clique
 from rtdensity.sphere import (
+    _SAMPLE_BLOCK,
     BEConfig,
+    _adjacency_matrix,
+    _floyd_samples,
+    _greedy_clique,
     _sq_dists,
     be_graph,
     graph_stats,
@@ -246,11 +250,17 @@ def test_edge_text_matches_bit_loop():
 
 
 def reference_ks_hits(g, s, samples, seed):
+    """Hits of a per-sample scalar Floyd loop over the same block draws."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     hits = 0
-    for _ in range(samples):
-        chosen = [int(v) for v in rng.choice(g.n, size=s, replace=False)]
-        hits += all(g.has_edge(a, b) for a, b in combinations(chosen, 2))
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        draws = rng.integers(0, np.arange(g.n - s + 1, g.n + 1), size=(min(_SAMPLE_BLOCK, samples - start), s))
+        for row in draws:
+            chosen = []
+            for k, r in enumerate(row.tolist()):
+                chosen.append(g.n - s + k if r in chosen else r)
+            assert len(set(chosen)) == s
+            hits += all(g.has_edge(a, b) for a, b in combinations(chosen, 2))
     return hits
 
 
@@ -269,6 +279,53 @@ def test_ks_estimate_matches_per_sample_loop():
         est = graph_stats(rg, s, 4, clique_budget=0, samples=samples, seed=seed)["ks_estimate"]
         expected = reference_ks_hits(rg.graph, s, samples, seed) / samples if samples and s <= rg.n else 0.0
         assert est == {"s": s, "samples": samples, "estimate": expected}
+
+
+def test_floyd_samples_uniform():
+    # all 20 three-subsets of six vertices, 10,000 expected hits each
+    rng = np.random.default_rng(np.random.SeedSequence([0, 2]))
+    rows = np.sort(_floyd_samples(rng, 6, 3, 200_000), axis=1)
+    assert np.all(np.diff(rows, axis=1) > 0)
+    subsets, counts = np.unique(rows, axis=0, return_counts=True)
+    assert len(subsets) == 20
+    assert np.all(np.abs(counts - 10_000) <= 300), counts
+
+
+def reference_greedy_clique(g):
+    """The per-start greedy clique on bitmasks, one start at a time."""
+    best = 0
+    order = sorted(range(g.n), key=lambda v: -g.adj[v].bit_count())
+    for start in order[: min(g.n, 40)]:
+        mask = 1 << start
+        cand = g.adj[start]
+        while cand:
+            pick = -1
+            pick_deg = -1
+            m = cand
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                m ^= low
+                deg = (g.adj[v] & cand).bit_count()
+                if deg > pick_deg:
+                    pick, pick_deg = v, deg
+            mask |= 1 << pick
+            cand &= g.adj[pick]
+        best = max(best, mask.bit_count())
+    return best
+
+
+def test_greedy_clique_matches_bitmask_loop():
+    rng = random.Random(3)
+    graphs = [SimpleGraph(20, (0,) * 20), SimpleGraph.complete(9)]
+    for n in range(1, 151):
+        p = (0.1, 0.3, 0.5, 0.7, 0.9)[n % 5]
+        graphs.append(SimpleGraph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for n_total in (101, 300, 1200):
+        for seed in (0, 1, 2):
+            graphs.append(realize(counterexample_graph(), n_total, BEConfig(0.2, 16, seed=seed)).graph)
+    for g in graphs:
+        assert _greedy_clique(_adjacency_matrix(g)) == reference_greedy_clique(g)
 
 
 def test_pair_densities_match_has_edge_counts():
