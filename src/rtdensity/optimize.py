@@ -44,7 +44,7 @@ from .partitions import (
     spec_density,
     uniform_assignment,
 )
-from .weighted import ONE, ZERO
+from .weighted import ONE
 
 REFINE_BITS = 64  # refined maxima and unseparated root clusters are 2^-64 wide
 SNAP_BITS = 40  # certify the simplest rational within 2^-40 of each maximum
@@ -208,21 +208,18 @@ def optimize_spec(spec: PartitionSpec) -> SpecOptimum:
     (n_large, k_large), (n_small, k_small) = classes
     sum_large = n_large * k_large
     sum_small = n_small * k_small
-    alpha = class_poly(n_large, k_large, s)
-    beta = class_poly(n_small, k_small, s)
-    alpha += [ZERO] * (s + 1 - len(alpha))
-    beta += [ZERO] * (s + 1 - len(beta))
-    den_a = max(x.denominator for x in alpha)  # both arrays are dyadic
-    den_b = max(x.denominator for x in beta)
+    alpha, e_large = class_poly(n_large, k_large, s)
+    beta, e_small = class_poly(n_small, k_small, s)
     c = [
-        (u.numerator * den_a // u.denominator) * (v.numerator * den_b // v.denominator)
-        * sum_small**j * sum_large ** (s - j)
+        u * v * sum_small**j * sum_large ** (s - j)
         for j, (u, v) in enumerate(zip(alpha, reversed(beta)))
     ]
     g = gcd(*c) or 1  # F = 0 when the skeleton has fewer than s vertices
     c = [x // g for x in c]
     # density = scale * F(x)
-    scale = Fraction(factorial(s) * g, den_a * den_b * sum_large**s * sum_small**s)
+    scale = Fraction(
+        factorial(s) * g, (sum_large**s * sum_small**s) << (e_large + e_small)
+    )
 
     # F in the power basis, by Horner in 1 - x: F_j = F_{j-1} (1 - x) + c_j x^j
     power = [c[0]]

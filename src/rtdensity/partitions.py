@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Mapping, Sequence
+from math import comb, factorial, lcm
+from typing import Sequence
 
 from .rationals import RationalLike, as_fraction, format_fraction
 from .weighted import HALF, ONE, ZERO, WeightedGraph
@@ -45,19 +45,11 @@ class WeightAssignment:
 
     class_weight: tuple[tuple[int, Fraction], ...]  # (part size, weight), size desc
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, RationalLike]) -> "WeightAssignment":
-        items = sorted(((int(k), as_fraction(v)) for k, v in mapping.items()), reverse=True)
-        return cls(tuple(items))
-
     def weight_for(self, size: int) -> Fraction:
         for k, w in self.class_weight:
             if k == size:
                 return w
         raise KeyError(f"no weight for part size {size}")
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.class_weight)
 
 
 def balanced_sizes(b: int, a: int) -> tuple[int, ...]:
@@ -113,80 +105,76 @@ def check_assignment(spec: PartitionSpec, w: WeightAssignment) -> None:
 def realize_spec(spec: PartitionSpec, w: WeightAssignment) -> WeightedGraph:
     """Concrete weighted graph for a spec: 1/2 inside parts, 1 across."""
     check_assignment(spec, w)
-    weights: list[Fraction] = []
-    part_of: list[int] = []
-    for idx, size in enumerate(spec.part_sizes):
-        cw = w.weight_for(size)
-        weights.extend([cw] * size)
-        part_of.extend([idx] * size)
-    n = spec.b
+    return parts_graph(spec_parts(spec, w))
+
+
+def parts_graph(parts: Sequence[tuple[int, RationalLike]]) -> WeightedGraph:
+    """The parts graph of (size, per-vertex weight) parts, in order: edges
+    weigh 1/2 inside a part and 1 across. No check that weights sum to 1."""
+    owner = [i for i, (size, _) in enumerate(parts) for _ in range(size)]
+    weights = tuple(as_fraction(w) for size, w in parts for _ in range(size))
     mat = tuple(
         tuple(
-            ZERO if u == v else (HALF if part_of[u] == part_of[v] else ONE)
-            for v in range(n)
+            ZERO if u == v else (HALF if pu == pv else ONE)
+            for v, pv in enumerate(owner)
         )
-        for u in range(n)
+        for u, pu in enumerate(owner)
     )
-    return WeightedGraph(tuple(weights), mat)
+    return WeightedGraph(weights, mat)
 
 
-def class_poly(size: int, count: int, s: int) -> list[Fraction]:
-    """Coefficients of (sum_m C(size,m) 2^(-C(m,2)) y^m)^count, truncated at y^s.
+def _mul_trunc(a: list[int], b: list[int], s: int) -> list[int]:
+    """Product of two polynomials (lowest degree first), truncated after z^s."""
+    out = [0] * min(len(a) + len(b) - 1, s + 1)
+    for j, x in enumerate(a):
+        if x:
+            for m, y in enumerate(b[: s + 1 - j]):
+                out[j + m] += x * y
+    return out
 
-    The per-vertex weight w is factored out: the z^j coefficient of `count`
-    equal parts of weight w in the density generating product is
-    (this array)[j] * w^j. The convolution runs on integers scaled by
-    2^(e*count) with e = C(min(size, s), 2).
+
+def class_poly(size: int, count: int, s: int) -> tuple[list[int], int]:
+    """(sum_m C(size,m) 2^(-C(m,2)) y^m)^count, truncated at y^s, as (c, E).
+
+    c holds s + 1 integers, zero-padded, and the true coefficient of y^j is
+    c[j] / 2^E, with E = C(min(size, s), 2) * count. The per-vertex weight w
+    is factored out: the z^j coefficient of `count` equal parts of weight w
+    in the density generating product is c[j] * w^j / 2^E.
     """
     e = comb(min(size, s), 2)
     base = [comb(size, m) << (e - comb(m, 2)) for m in range(min(size, s) + 1)]
-    coeffs = [1]
+    c = [1]
     for _ in range(count):
-        nxt = [0] * min(len(coeffs) + len(base) - 1, s + 1)
-        for j, c in enumerate(coeffs):
-            for m, bm in enumerate(base[: s + 1 - j]):
-                nxt[j + m] += c * bm
-        coeffs = nxt
-    denominator = 1 << (e * count)
-    return [Fraction(c, denominator) for c in coeffs]
+        c = _mul_trunc(c, base, s)
+    return c + [0] * (s + 1 - len(c)), e * count
 
 
-def parts_density(parts: Sequence[tuple[int, Fraction]], s: int) -> Fraction:
+def parts_density(parts: Sequence[tuple[int, RationalLike]], s: int) -> Fraction:
     """Exact K_s-density of a parts graph (1/2 inside parts, 1 across).
 
     parts lists (size, per-vertex weight) for each part. Computed as
     s! * [z^s] of the product over parts of
     sum_m C(size, m) * weight^m * 2^(-C(m,2)) * z^m,
     with equal (size, weight) parts grouped into one `class_poly` factor.
+    The product runs on integers: with D the lcm of the weight denominators
+    and (c, E) from `class_poly`, a class of weight n / D contributes
+    c[j] * n^j, and the z^s coefficient is divided by D^s and 2^(sum of E)
+    once, at the end.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    if s == 0:
-        return ONE
     classes: dict[tuple[int, Fraction], int] = {}
     for size, weight in parts:
         key = (size, as_fraction(weight))
         classes[key] = classes.get(key, 0) + 1
-    if not classes:
-        return ZERO
-    *head, last = classes.items()
-    coeffs = [ONE]
-    for (size, weight), count in head:
-        poly = [c * weight**m for m, c in enumerate(class_poly(size, count, s))]
-        nxt = [ZERO] * min(len(coeffs) + len(poly) - 1, s + 1)
-        for j, c in enumerate(coeffs):
-            for m, pm in enumerate(poly[: s + 1 - j]):
-                nxt[j + m] += c * pm
-        coeffs = nxt
-    # the last class contributes only to the z^s coefficient
-    (size, weight), count = last
-    top = sum(
-        (coeffs[s - m] * c * weight**m
-         for m, c in enumerate(class_poly(size, count, s))
-         if s - m < len(coeffs)),
-        ZERO,
-    )
-    return factorial(s) * top
+    den = lcm(*(w.denominator for _, w in classes))
+    coeffs, exp = [1] + [0] * s, 0
+    for (size, weight), count in classes.items():
+        c, e = class_poly(size, count, s)
+        num = weight.numerator * (den // weight.denominator)
+        coeffs = _mul_trunc(coeffs, [x * num**j for j, x in enumerate(c)], s)
+        exp += e
+    return Fraction(factorial(s) * coeffs[s], den**s << exp)
 
 
 def spec_parts(spec: PartitionSpec, w: WeightAssignment) -> list[tuple[int, Fraction]]:
@@ -203,36 +191,8 @@ def complete_balanced(r: int) -> WeightedGraph:
     """r vertices of weight 1/r, every edge weight 1."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    w = Fraction(1, r)
-    mat = tuple(
-        tuple(ZERO if u == v else ONE for v in range(r)) for u in range(r)
-    )
-    return WeightedGraph(tuple([w] * r), mat)
-
-
-def spec_to_dict(spec: PartitionSpec) -> dict:
-    return {
-        "s": spec.s,
-        "t": spec.t,
-        "b": spec.b,
-        "a": spec.a,
-        "part_sizes": list(spec.part_sizes),
-    }
-
-
-def spec_from_dict(data: Mapping) -> PartitionSpec:
-    sizes = tuple(int(x) for x in data["part_sizes"])
-    spec = PartitionSpec(
-        int(data["s"]), int(data["t"]), int(data["b"]), int(data["a"]), sizes
-    )
-    if sum(sizes) != spec.b or len(sizes) != spec.a:
-        raise ValueError("part_sizes inconsistent with (b, a)")
-    return spec
+    return parts_graph([(1, Fraction(1, r))] * r)
 
 
 def assignment_to_dict(w: WeightAssignment) -> dict:
     return {str(size): format_fraction(weight) for size, weight in w.class_weight}
-
-
-def assignment_from_dict(data: Mapping[str, RationalLike]) -> WeightAssignment:
-    return WeightAssignment.from_mapping({int(k): as_fraction(v) for k, v in data.items()})

@@ -11,7 +11,7 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_fraction(value)

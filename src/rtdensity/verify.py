@@ -15,7 +15,7 @@ from operator import mul
 from typing import Iterable
 
 from .freeness import score_from_masks
-from .partitions import parts_density
+from .partitions import parts_density, parts_graph
 from .rationals import RationalLike, as_fraction, format_fraction
 from .weighted import HALF, ONE, ZERO, WeightedGraph, ks_density
 
@@ -60,16 +60,6 @@ class SearchConfig:
         for w in self.edge_alphabet:
             if w < 0 or w > 1:
                 raise ValueError("edge alphabet values must lie in [0,1]")
-
-
-def default_search_config(
-    n: int, s: int, t: int, weight_denominator: int | None = None,
-    edge_alphabet: tuple[RationalLike, ...] = (Fraction(1, 2), ONE),
-) -> SearchConfig:
-    """Alphabet defaults to {1/2, 1}; the {0, 1/2, 1} mode exists to test
-    whether the binary-weight structure emerges from the search itself."""
-    d = weight_denominator if weight_denominator is not None else 2 * n * (t - 1)
-    return SearchConfig(n, d, tuple(as_fraction(w) for w in edge_alphabet), s, t)
 
 
 def search_space_size(cfg: SearchConfig) -> int:
@@ -278,7 +268,7 @@ def check_structure(g: WeightedGraph, s: int, t: int) -> StructureReport:
                 )
     partition = None
     a2 = a1  # any off-binary edge weight also rules the partition out
-    if a1 and n >= 1:
+    if a1:
         # parts = connected components of the half-weight relation
         part_id = [-1] * n
         parts: list[list[int]] = []
@@ -327,9 +317,9 @@ def check_structure(g: WeightedGraph, s: int, t: int) -> StructureReport:
                 for members in sorted(parts, key=lambda m: (-len(m), m))
             )
     a3 = a4 = a5 = None
-    if a2 and partition is not None:
+    if a2:  # a partition was built, possibly empty when n = 0
         sizes = [len(p) for p in partition]
-        a3 = max(sizes) - min(sizes) <= 1
+        a3 = not sizes or max(sizes) - min(sizes) <= 1
         if not a3:
             details.append(f"A3: part sizes {sizes} differ by more than 1")
         a4 = True
@@ -362,18 +352,7 @@ def two_part_graph(p: RationalLike, P: int, q: RationalLike, Q: int) -> Weighted
     pf, qf = as_fraction(p), as_fraction(q)
     if pf * P + qf * Q != ONE:
         raise ValueError("pP + qQ must equal 1")
-    weights = [pf] * P + [qf] * Q
-    n = P + Q
-    mat = tuple(
-        tuple(
-            ZERO
-            if u == v
-            else (HALF if (u < P) == (v < P) else ONE)
-            for v in range(n)
-        )
-        for u in range(n)
-    )
-    return WeightedGraph(tuple(weights), mat)
+    return parts_graph([(P, pf), (Q, qf)])
 
 
 def two_part_basis(

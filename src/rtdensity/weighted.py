@@ -71,12 +71,6 @@ class WeightedGraph:
     def n(self) -> int:
         return len(self.vertex_weights)
 
-    def w(self, v: int) -> Fraction:
-        return self.vertex_weights[v]
-
-    def wuv(self, u: int, v: int) -> Fraction:
-        return self.edge_weights[u][v]
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -366,7 +360,7 @@ def graph_from_dict(data: dict) -> WeightedGraph:
             w = entry["w"]
         except (TypeError, KeyError):
             raise GraphFormatError(f"vertex entry {entry!r} needs 'id' and 'w'") from None
-        if not isinstance(vid, int) or vid < 0:
+        if type(vid) is not int or vid < 0:  # bool subclasses int: reject true/false
             raise GraphFormatError(f"vertex id {vid!r} must be a nonnegative integer")
         if vid in seen:
             raise GraphFormatError(f"duplicate vertex id {vid}")
@@ -385,7 +379,7 @@ def graph_from_dict(data: dict) -> WeightedGraph:
             u, v, w = entry["u"], entry["v"], entry["w"]
         except (TypeError, KeyError):
             raise GraphFormatError(f"edge entry {entry!r} needs 'u', 'v', 'w'") from None
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (type(u) is int and type(v) is int):
             raise GraphFormatError(f"edge endpoints must be integers, got {entry!r}")
         if u == v:
             raise GraphFormatError(f"self-edge at vertex {u} not allowed")

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rtdensity import (
     WeightAssignment,
@@ -17,13 +20,8 @@ from rtdensity import (
     uniform_assignment,
     validate,
 )
-from rtdensity.partitions import (
-    assignment_from_dict,
-    assignment_to_dict,
-    balanced_sizes,
-    spec_from_dict,
-    spec_to_dict,
-)
+from rtdensity.partitions import assignment_to_dict, balanced_sizes, class_poly, parts_graph
+from rtdensity.rationals import format_fraction
 
 
 def random_assignment(rng: random.Random, spec) -> WeightAssignment:
@@ -188,11 +186,51 @@ def test_parts_density_two_part_closed_form():
 
 
 def test_spec_json_roundtrip():
-    spec = enumerate_specs(5, 11)[1]
-    d = spec_to_dict(spec)
-    assert d == {"s": 5, "t": 11, "b": 6, "a": 4, "part_sizes": [2, 2, 1, 1]}
-    assert spec_from_dict(d) == spec
     w = WeightAssignment(((2, F(4, 25)), (1, F(9, 50))))
-    wd = assignment_to_dict(w)
-    assert wd == {"2": "4/25", "1": "9/50"}
-    assert assignment_from_dict(wd) == w
+    assert assignment_to_dict(w) == {"2": "4/25", "1": "9/50"}
+
+
+WEIGHTS = st.one_of(
+    st.just(F(0)),
+    st.fractions(0, 1, max_denominator=12),
+    st.fractions(0, 1, max_denominator=12).map(format_fraction),  # "p/q" strings
+)
+
+
+@st.composite
+def parts_lists(draw):
+    """At most 10 vertices in parts drawn from a small pool, so (size, weight)
+    pairs repeat and equal sizes meet different weights."""
+    pool = draw(st.lists(st.tuples(st.integers(1, 4), WEIGHTS), min_size=1, max_size=4))
+    parts, n = [], 0
+    for size, w in draw(st.lists(st.sampled_from(pool), max_size=6)):
+        if n + size <= 10:
+            parts.append((size, w))
+            n += size
+    return parts
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(parts_lists(), st.integers(0, 8))
+@example([(2, F(1, 10)), (2, "1/10"), (2, F(3, 20)), (1, F(0)), (3, "1/12")], 5)
+@example([(1, F(1, 4)), (1, F(1, 4)), (3, "0"), (3, F(1, 6))], 2)
+@example([], 3)
+def test_parts_kernel_matches_graph(parts, s):
+    g = parts_graph(parts)
+    assert g == realize_parts(parts)
+    assert parts_density(parts, s) == ks_density(g, s)
+
+
+def test_class_poly_matches_fraction_expansion():
+    for size in range(1, 7):
+        factor = [F(comb(size, m), 2 ** comb(m, 2)) for m in range(size + 1)]
+        full = [F(1)]  # factor^count, untruncated
+        for count in range(6):
+            for s in range(9):
+                c, e = class_poly(size, count, s)
+                assert len(c) == s + 1 and all(isinstance(x, int) for x in c)
+                assert [F(x, 2**e) for x in c] == (full + [F(0)] * s)[: s + 1]
+            full = [
+                sum(full[i] * factor[j - i] for i in range(len(full)) if 0 <= j - i <= size)
+                for j in range(len(full) + size)
+            ]

@@ -203,6 +203,13 @@ def test_check_structure_partial_failures():
     # valid partition but wrong t
     rep = check_structure(complete_balanced(5), 5, 12)
     assert rep.a1 and not rep.a2
+    # the empty graph has b = 0 and a = 0: A2 needs b >= s and a + b = t - 1
+    empty = WeightedGraph((), ())
+    rep = check_structure(empty, 5, 40)
+    assert rep.a1 and not rep.a2 and rep.partition is None
+    assert "A2: b = 0 < s = 5" in rep.details
+    rep = check_structure(empty, 0, 1)
+    assert rep.a2 and rep.partition == () and rep.a3 and rep.a4 and not rep.a5
     # unequal weights inside a part
     g = WeightedGraph.build([F(1, 2), F(1, 4), F(1, 4)], {(0, 1): F(1, 2), (0, 2): F(1, 2), (1, 2): F(1, 2)})
     rep = check_structure(g, 3, 5)

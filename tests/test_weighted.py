@@ -233,6 +233,13 @@ def test_graph_json_missing_pairs_default_zero():
             "self-edge",
         ),
         ('{"vertices": [{"id": 0', "line 1"),
+        ('{"vertices": [{"id": false, "w": "1"}]}', "nonnegative integer"),
+        (
+            '{"vertices": [{"id": 0, "w": "1/2"}, {"id": 1, "w": "1/2"}],'
+            ' "edges": [{"u": 0, "v": true, "w": "1"}]}',
+            "must be integers",
+        ),
+        ('{"vertices": [{"id": 0, "w": true}]}', "vertex 0"),
     ],
 )
 def test_graph_json_rejects_malformed(payload, fragment):
