@@ -25,7 +25,6 @@ from .optimize import (
 )
 from .partitions import (
     PartitionSpec,
-    WeightAssignment,
     complete_balanced,
     enumerate_specs,
     parts_density,

@@ -4,7 +4,7 @@ Every subcommand prints a machine-readable report (JSON by default, CSV or
 aligned text on request). Identical invocations produce byte-identical
 output. Exit codes: 0 success, 2 flag or input errors (including a search
 space with no t-free graph or an unwritable realize --out), 3 refused search
-space or realization size.
+space, realization size or coeffs order.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .rationals import format_fraction, parse_fraction
 from .serialize import csv_text, dumps, exact_float, float15, table
 from .sphere import BEConfig, RealizationLimitError, graph_stats, realize
 from .verify import (
+    BasisLimitError,
     NoFreeGraphError,
     SearchConfig,
     SearchSpaceError,
@@ -88,7 +89,7 @@ def density(s, t, fmt):
                 "b": opt.spec.b,
                 "a": opt.spec.a,
                 "part_sizes": list(opt.spec.part_sizes),
-                "weights": assignment_to_dict(opt.weights),
+                "weights": assignment_to_dict(opt.spec, opt.weights),
                 "certified": exact_float(opt.certified),
                 "upper": exact_float(opt.upper),
             }
@@ -104,7 +105,7 @@ def density(s, t, fmt):
             "b": best.spec.b,
             "a": best.spec.a,
             "part_sizes": list(best.spec.part_sizes),
-            "weights": assignment_to_dict(best.weights),
+            "weights": assignment_to_dict(best.spec, best.weights),
         },
         "ties": list(result.ties),
         "per_spec": per_spec,
@@ -274,6 +275,9 @@ def coeffs(m, fmt):
     """Basis coefficients of the two-part K_m-density decomposition."""
     try:
         cs = basis_coefficients(m)
+    except BasisLimitError as exc:
+        click.echo(f"refused: {exc}", err=True)
+        sys.exit(3)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     payload = {
@@ -292,8 +296,8 @@ def coeffs(m, fmt):
 
 @main.command()
 @click.option("--graph", "graph_path", type=str, required=True)
-@click.option("--s", "s", type=int, required=True)
-@click.option("--t", "t", type=int, required=True)
+@click.option("--s", "s", type=click.IntRange(min=0), required=True)
+@click.option("--t", "t", type=click.IntRange(min=1), required=True)
 @click.option("--format", "fmt", type=FORMATS, default="json", show_default=True)
 def structure(graph_path, s, t, fmt):
     """Evaluate the extremal-structure predicates A1-A5 on a graph file."""

@@ -37,7 +37,6 @@ from math import ceil, comb, factorial, gcd
 # attributes here even where this module does not call them.
 from .partitions import (
     PartitionSpec,
-    WeightAssignment,
     class_poly,
     enumerate_specs,
     parts_density,  # noqa: F401
@@ -53,7 +52,7 @@ SNAP_BITS = 40  # certify the simplest rational within 2^-40 of each maximum
 @dataclass(frozen=True)
 class SpecOptimum:
     spec: PartitionSpec
-    weights: WeightAssignment
+    weights: tuple[Fraction, ...]  # per-vertex weight of each of spec.classes
     certified: Fraction  # exact density at `weights`, <= the spec's supremum
     upper: Fraction  # exact bound, >= the spec's supremum
 
@@ -199,13 +198,12 @@ def optimize_spec(spec: PartitionSpec) -> SpecOptimum:
     every interior point raises `upper`, never `certified`.
     """
     s = spec.s
-    classes = spec.size_classes()
-    if len(classes) == 1:
+    if len(spec.classes) == 1:
         w = uniform_assignment(spec)
         cert = spec_density(spec, w, s)
         return SpecOptimum(spec, w, cert, cert)
 
-    (n_large, k_large), (n_small, k_small) = classes
+    (n_large, k_large), (n_small, k_small) = spec.classes
     sum_large = n_large * k_large
     sum_small = n_small * k_small
     alpha, e_large = class_poly(n_large, k_large, s)
@@ -264,9 +262,7 @@ def optimize_spec(spec: PartitionSpec) -> SpecOptimum:
             for a, k in intervals
         ]
     )
-    weights = WeightAssignment(
-        ((n_large, best_x / sum_large), (n_small, (1 - best_x) / sum_small))
-    )
+    weights = (best_x / sum_large, (1 - best_x) / sum_small)
     return SpecOptimum(spec, weights, scale * best_f, scale * upper)
 
 

@@ -20,51 +20,40 @@ from .weighted import HALF, ONE, ZERO, WeightedGraph
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Skeleton of a (b, a)-partition candidate for given (s, t)."""
+    """Skeleton of a (b, a)-partition candidate for given (s, t).
+
+    A balanced split of b into a parts has at most two part sizes, so the
+    skeleton stores only its size classes: (size, count) pairs, largest size
+    first. Weights for a skeleton are a tuple with one per-vertex weight per
+    class, in the same order.
+    """
 
     s: int
     t: int
     b: int
     a: int
-    part_sizes: tuple[int, ...]  # descending
+    classes: tuple[tuple[int, int], ...]
 
-    def size_classes(self) -> tuple[tuple[int, int], ...]:
-        """Distinct part sizes with multiplicities, largest size first."""
-        out: list[tuple[int, int]] = []
-        for size in self.part_sizes:
-            if out and out[-1][0] == size:
-                out[-1] = (size, out[-1][1] + 1)
-            else:
-                out.append((size, 1))
-        return tuple(out)
+    @property
+    def part_sizes(self) -> tuple[int, ...]:
+        """Every part's size, descending; built on each call, for output."""
+        return tuple(size for size, count in self.classes for _ in range(count))
 
 
-@dataclass(frozen=True)
-class WeightAssignment:
-    """Per-vertex weight for each part-size class."""
-
-    class_weight: tuple[tuple[int, Fraction], ...]  # (part size, weight), size desc
-
-    def weight_for(self, size: int) -> Fraction:
-        for k, w in self.class_weight:
-            if k == size:
-                return w
-        raise KeyError(f"no weight for part size {size}")
-
-
-def balanced_sizes(b: int, a: int) -> tuple[int, ...]:
-    """b split into a parts whose sizes differ by at most one, descending."""
-    big, rem = divmod(b, a)
-    return tuple([big + 1] * rem + [big] * (a - rem))
+def size_rule(s: int, a: int, largest: int) -> bool:
+    """The size alternative of a skeleton with a >= 1 parts, the largest of
+    size `largest`: for s >= 3 one part of size exactly s, or at least two
+    parts all of size at most s - 1. For s <= 2 any a >= 1 parts pass (the
+    s = 2 extremal structure uses a size-2 part even when a = 1)."""
+    return a >= 1 and (s <= 2 or (largest == s if a == 1 else largest <= s - 1))
 
 
 def enumerate_specs(s: int, t: int) -> list[PartitionSpec]:
     """All admissible (b, a) skeletons for (s, t), ordered by increasing b.
 
-    b runs from max(s, ceil((t-1)/2)) to t-2 with a = t-1-b. For s >= 3 the
-    size filter applies: either a single part of size exactly s, or every
-    part of size at most s-1. For s = 2 that filter is dropped (the s = 2
-    extremal structure uses a size-2 part even when a = 1 would forbid it).
+    b runs from max(s, ceil((t-1)/2)) to t-2 with a = t-1-b, the parts as
+    equal as possible, and `size_rule` filters them. Each skeleton is O(1):
+    its classes come from divmod(b, a).
     """
     if s < 2:
         raise ValueError("s must be at least 2")
@@ -74,25 +63,22 @@ def enumerate_specs(s: int, t: int) -> list[PartitionSpec]:
     b_min = max(s, t // 2)  # t//2 == ceil((t-1)/2)
     for b in range(b_min, t - 1):
         a = t - 1 - b
-        sizes = balanced_sizes(b, a)
-        if s >= 3:
-            if a == 1 and b != s:
-                continue
-            if a >= 2 and sizes[0] > s - 1:
-                continue
-        specs.append(PartitionSpec(s, t, b, a, sizes))
+        q, r = divmod(b, a)
+        if size_rule(s, a, q + (r > 0)):
+            classes = ((q + 1, r), (q, a - r)) if r else ((q, a),)
+            specs.append(PartitionSpec(s, t, b, a, classes))
     return specs
 
 
-def uniform_assignment(spec: PartitionSpec) -> WeightAssignment:
-    w = Fraction(1, spec.b)
-    return WeightAssignment(tuple((size, w) for size, _ in spec.size_classes()))
+def uniform_assignment(spec: PartitionSpec) -> tuple[Fraction, ...]:
+    return (Fraction(1, spec.b),) * len(spec.classes)
 
 
-def check_assignment(spec: PartitionSpec, w: WeightAssignment) -> None:
+def check_assignment(spec: PartitionSpec, w: Sequence[Fraction]) -> None:
+    if len(w) != len(spec.classes):
+        raise ValueError(f"{len(w)} weights given for {len(spec.classes)} size classes")
     total = ZERO
-    for size, count in spec.size_classes():
-        weight = w.weight_for(size)
+    for (size, count), weight in zip(spec.classes, w):
         if weight <= 0:
             raise ValueError(f"class weight for size {size} must be positive")
         total += count * size * weight
@@ -102,7 +88,7 @@ def check_assignment(spec: PartitionSpec, w: WeightAssignment) -> None:
         )
 
 
-def realize_spec(spec: PartitionSpec, w: WeightAssignment) -> WeightedGraph:
+def realize_spec(spec: PartitionSpec, w: Sequence[Fraction]) -> WeightedGraph:
     """Concrete weighted graph for a spec: 1/2 inside parts, 1 across."""
     check_assignment(spec, w)
     return parts_graph(spec_parts(spec, w))
@@ -177,11 +163,14 @@ def parts_density(parts: Sequence[tuple[int, RationalLike]], s: int) -> Fraction
     return Fraction(factorial(s) * coeffs[s], den**s << exp)
 
 
-def spec_parts(spec: PartitionSpec, w: WeightAssignment) -> list[tuple[int, Fraction]]:
-    return [(size, w.weight_for(size)) for size in spec.part_sizes]
+def spec_parts(spec: PartitionSpec, w: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    """One (size, weight) pair per part, weights in the order of the classes."""
+    return [
+        (size, weight) for (size, count), weight in zip(spec.classes, w) for _ in range(count)
+    ]
 
 
-def spec_density(spec: PartitionSpec, w: WeightAssignment, s: int) -> Fraction:
+def spec_density(spec: PartitionSpec, w: Sequence[Fraction], s: int) -> Fraction:
     """Closed-form K_s-density of the realized spec; equals the graph density."""
     check_assignment(spec, w)
     return parts_density(spec_parts(spec, w), s)
@@ -194,5 +183,6 @@ def complete_balanced(r: int) -> WeightedGraph:
     return parts_graph([(1, Fraction(1, r))] * r)
 
 
-def assignment_to_dict(w: WeightAssignment) -> dict:
-    return {str(size): format_fraction(weight) for size, weight in w.class_weight}
+def assignment_to_dict(spec: PartitionSpec, w: Sequence[Fraction]) -> dict:
+    """{"size": "p/q"} for each size class, largest size first."""
+    return {str(size): format_fraction(weight) for (size, _), weight in zip(spec.classes, w)}

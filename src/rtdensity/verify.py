@@ -15,7 +15,7 @@ from operator import mul
 from typing import Iterable
 
 from .freeness import score_from_masks
-from .partitions import parts_density, parts_graph
+from .partitions import parts_density, parts_graph, size_rule
 from .rationals import RationalLike, as_fraction, format_fraction
 from .weighted import HALF, ONE, ZERO, WeightedGraph, ks_density
 
@@ -26,6 +26,7 @@ SEARCH_SPACE_LIMIT = 10**8
 # under 0.7 GiB; the orbit bytearray adds at most SEARCH_SPACE_LIMIT bytes.
 WEIGHT_CELL_LIMIT = 10**7
 CANONICAL_MAX_N = 6  # permutation canonicalization is factorial; keep it tiny
+BASIS_M_LIMIT = 200  # basis_coefficients: 1.5 s at m = 200, > 120 s at m = 600
 
 
 class SearchSpaceError(RuntimeError):
@@ -34,6 +35,10 @@ class SearchSpaceError(RuntimeError):
     def __init__(self, size: int, limit: int = SEARCH_SPACE_LIMIT, unit: str = "states"):
         super().__init__(f"search space of {size} {unit} exceeds the limit of {limit}")
         self.size = size
+
+
+class BasisLimitError(RuntimeError):
+    """basis_coefficients was asked for m above BASIS_M_LIMIT."""
 
 
 class NoFreeGraphError(RuntimeError):
@@ -236,7 +241,8 @@ class StructureReport:
         weight 1/2 inside and 1 across, b >= s and a + b = t - 1.
     A3: part sizes differ by at most 1.
     A4: larger parts carry per-vertex weights no larger than smaller parts.
-    A5: one part of size exactly s, or >= 2 parts all of size <= s - 1.
+    A5: `partitions.size_rule`, which `enumerate_specs` applies: for s >= 3
+        one part of size exactly s, or >= 2 parts all of size <= s - 1.
 
     A3-A5 are None when no A2 partition exists.
     """
@@ -257,15 +263,10 @@ class StructureReport:
 def check_structure(g: WeightedGraph, s: int, t: int) -> StructureReport:
     details: list[str] = []
     n = g.n
-    a1 = True
-    for u in range(n):
-        for v in range(u + 1, n):
-            w = g.edge_weights[u][v]
-            if w != HALF and w != ONE:
-                a1 = False
-                details.append(
-                    f"A1: w({u},{v}) = {format_fraction(w)} not in {{1/2, 1}}"
-                )
+    ew = g.edge_weights
+    off = [(u, v) for u in range(n) for v in range(u + 1, n) if ew[u][v] not in (HALF, ONE)]
+    a1 = not off
+    details += [f"A1: w({u},{v}) = {format_fraction(ew[u][v])} not in {{1/2, 1}}" for u, v in off]
     partition = None
     a2 = a1  # any off-binary edge weight also rules the partition out
     if a1:
@@ -282,59 +283,41 @@ def check_structure(g: WeightedGraph, s: int, t: int) -> StructureReport:
                 x = stack.pop()
                 members.append(x)
                 for y in range(n):
-                    if y != x and part_id[y] == -1 and g.edge_weights[x][y] == HALF:
+                    if y != x and part_id[y] == -1 and ew[x][y] == HALF:
                         part_id[y] = len(parts)
                         stack.append(y)
             parts.append(sorted(members))
         for members in parts:
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
-                    if g.edge_weights[members[i]][members[j]] != HALF:
+                    if ew[members[i]][members[j]] != HALF:
                         a2 = False
                         details.append(
                             f"A2: vertices {members[i]},{members[j]} share a part "
                             "but are not joined by weight 1/2"
                         )
-            first_w = g.vertex_weights[members[0]]
-            for v in members[1:]:
-                if g.vertex_weights[v] != first_w:
-                    a2 = False
-                    details.append(
-                        f"A2: unequal vertex weights inside part {tuple(members)}"
-                    )
-                    break
-        a = len(parts)
-        b = n
-        if b < s:
+            if len({g.vertex_weights[v] for v in members}) > 1:
+                a2 = False
+                details.append(f"A2: unequal vertex weights inside part {tuple(members)}")
+        if n < s:
             a2 = False
-            details.append(f"A2: b = {b} < s = {s}")
-        if a + b != t - 1:
+            details.append(f"A2: b = {n} < s = {s}")
+        if len(parts) + n != t - 1:
             a2 = False
-            details.append(f"A2: a + b = {a + b} != t - 1 = {t - 1}")
+            details.append(f"A2: a + b = {len(parts) + n} != t - 1 = {t - 1}")
         if a2:
-            partition = tuple(
-                tuple(members)
-                for members in sorted(parts, key=lambda m: (-len(m), m))
-            )
+            partition = tuple(tuple(m) for m in sorted(parts, key=lambda m: (-len(m), m)))
     a3 = a4 = a5 = None
     if a2:  # a partition was built, possibly empty when n = 0
         sizes = [len(p) for p in partition]
         a3 = not sizes or max(sizes) - min(sizes) <= 1
         if not a3:
             details.append(f"A3: part sizes {sizes} differ by more than 1")
-        a4 = True
-        for pi in partition:
-            for pj in partition:
-                if len(pi) >= len(pj) and g.vertex_weights[pi[0]] > g.vertex_weights[pj[0]]:
-                    a4 = False
-                    details.append(
-                        "A4: a larger part carries a larger per-vertex weight"
-                    )
-                    break
-            if not a4:
-                break
-        a = len(partition)
-        a5 = (a == 1 and sizes[0] == s) or (a >= 2 and max(sizes) <= s - 1)
+        pw = [(size, g.vertex_weights[p[0]]) for size, p in zip(sizes, partition)]
+        a4 = not any(si >= sj and wi > wj for si, wi in pw for sj, wj in pw)
+        if not a4:
+            details.append("A4: a larger part carries a larger per-vertex weight")
+        a5 = size_rule(s, len(sizes), sizes[0] if sizes else 0)
         if not a5:
             details.append(f"A5: sizes {sizes} violate the size alternative for s={s}")
     elif not a2:
@@ -385,9 +368,12 @@ def basis_coefficients(m: int) -> list[Fraction]:
 
     Solved by forward substitution from
     (m! / 2^C(m,2)) * 2^(r(m-r)) = sum_{i<=r} r!(m-r)!/((r-i)!(m-r-i)!) c_i.
+    m above BASIS_M_LIMIT raises BasisLimitError before any work.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    if m > BASIS_M_LIMIT:
+        raise BasisLimitError(f"m = {m} exceeds the limit of {BASIS_M_LIMIT}")
     target = Fraction(factorial(m), 2 ** comb(m, 2))
     cs: list[Fraction] = []
     for r in range(m // 2 + 1):

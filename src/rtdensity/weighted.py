@@ -8,6 +8,7 @@ deliberately no floating-point evaluation path in this module.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -350,24 +351,45 @@ def graph_to_dict(g: WeightedGraph) -> dict:
     return {"vertices": vertices, "edges": edges}
 
 
+def _fields(entry, keys: tuple[str, ...], what: str) -> list:
+    """The values of a vertex or edge object that has exactly `keys`."""
+    if not isinstance(entry, dict) or set(entry) != set(keys):
+        raise GraphFormatError(f"{what} entry {entry!r} needs exactly the keys {', '.join(keys)}")
+    return [entry[k] for k in keys]
+
+
+def _weight(w, where: str) -> Fraction:
+    """A graph-file weight: a "p/q" string in the schema's form, never a JSON
+    number or boolean (int() alone would also take " 1", "+1" and "1_0")."""
+    if not (isinstance(w, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", w)):
+        raise GraphFormatError(f'{where}: malformed rational {w!r}, not a "p/q" string')
+    try:
+        return as_fraction(w)
+    except ValueError as exc:  # a zero denominator
+        raise GraphFormatError(f"{where}: {exc}") from None
+
+
 def graph_from_dict(data: dict) -> WeightedGraph:
-    if not isinstance(data, dict) or "vertices" not in data:
-        raise GraphFormatError("graph JSON must be an object with a 'vertices' list")
+    """Parse a graph file's JSON; what schemas/graph.schema.json rejects raises
+    GraphFormatError."""
+    if not (
+        isinstance(data, dict)
+        and set(data) in ({"vertices"}, {"vertices", "edges"})
+        and isinstance(data["vertices"], list)
+        and isinstance(data.get("edges", []), list)
+    ):
+        raise GraphFormatError(
+            "graph JSON must be an object with a 'vertices' list, an optional"
+            " 'edges' list and no other keys"
+        )
     seen: dict[int, Fraction] = {}
     for entry in data["vertices"]:
-        try:
-            vid = entry["id"]
-            w = entry["w"]
-        except (TypeError, KeyError):
-            raise GraphFormatError(f"vertex entry {entry!r} needs 'id' and 'w'") from None
+        vid, w = _fields(entry, ("id", "w"), "vertex")
         if type(vid) is not int or vid < 0:  # bool subclasses int: reject true/false
             raise GraphFormatError(f"vertex id {vid!r} must be a nonnegative integer")
         if vid in seen:
             raise GraphFormatError(f"duplicate vertex id {vid}")
-        try:
-            seen[vid] = as_fraction(w)
-        except (ValueError, TypeError) as exc:
-            raise GraphFormatError(f"vertex {vid}: {exc}") from None
+        seen[vid] = _weight(w, f"vertex {vid}")
     n = len(seen)
     if sorted(seen) != list(range(n)):
         raise GraphFormatError("vertex ids must be exactly 0..n-1")
@@ -375,10 +397,7 @@ def graph_from_dict(data: dict) -> WeightedGraph:
     triples: list[tuple[int, int, Fraction]] = []
     pairs: set[tuple[int, int]] = set()
     for entry in data.get("edges", []):
-        try:
-            u, v, w = entry["u"], entry["v"], entry["w"]
-        except (TypeError, KeyError):
-            raise GraphFormatError(f"edge entry {entry!r} needs 'u', 'v', 'w'") from None
+        u, v, w = _fields(entry, ("u", "v", "w"), "edge")
         if not (type(u) is int and type(v) is int):
             raise GraphFormatError(f"edge endpoints must be integers, got {entry!r}")
         if u == v:
@@ -389,10 +408,7 @@ def graph_from_dict(data: dict) -> WeightedGraph:
         if key in pairs:
             raise GraphFormatError(f"duplicate edge ({key[0]},{key[1]})")
         pairs.add(key)
-        try:
-            triples.append((u, v, as_fraction(w)))
-        except (ValueError, TypeError) as exc:
-            raise GraphFormatError(f"edge ({u},{v}): {exc}") from None
+        triples.append((u, v, _weight(w, f"edge ({u},{v})")))
     return WeightedGraph.build(weights, triples)
 
 

@@ -12,7 +12,6 @@ from fractions import Fraction as F
 from conftest import random_graph
 from rtdensity import (
     SearchConfig,
-    WeightAssignment,
     audit_conjecture,
     basis_coefficients,
     brute_force_extremal,
@@ -71,7 +70,7 @@ def test_criterion_02_s5_counterexamples_exact():
         a11 = audit_conjecture(5, 11)
         assert a11.counterexample and a11.observed_b == 6
         spec64 = next(sp for sp in enumerate_specs(5, 11) if sp.b == 6)
-        point = WeightAssignment(((2, F(4, 25)), (1, F(9, 50))))
+        point = (F(4, 25), F(9, 50))
         assert spec_density(spec64, point, 5) > F(24, 625)
 
 
@@ -81,7 +80,7 @@ def test_criterion_03_large_s_family():
         # odd t = 121: two half-weight pairs at 3/(4r), singletons at 1/r
         odd_spec = next(sp for sp in enumerate_specs(60, 121) if sp.b == r + 1)
         assert odd_spec.part_sizes == (2, 2) + (1,) * 57
-        odd_point = WeightAssignment(((2, F(3, 4 * r)), (1, F(1, r))))
+        odd_point = (F(3, 4 * r), F(1, r))
         odd_value = spec_density(odd_spec, odd_point, 60)
         conj_odd = next(sp for sp in enumerate_specs(60, 121) if sp.b == r)
         conj_odd_opt = optimize_spec(conj_odd)
@@ -91,7 +90,7 @@ def test_criterion_03_large_s_family():
         # even t = 120: three half-weight pairs at 5/(6r), singletons at 1/r
         even_spec = next(sp for sp in enumerate_specs(60, 120) if sp.b == r + 1)
         assert even_spec.part_sizes == (2, 2, 2) + (1,) * 55
-        even_point = WeightAssignment(((2, F(5, 6 * r)), (1, F(1, r))))
+        even_point = (F(5, 6 * r), F(1, r))
         even_value = spec_density(even_spec, even_point, 60)
         conj_even = next(sp for sp in enumerate_specs(60, 120) if sp.b == r)
         conj_even_opt = optimize_spec(conj_even)
@@ -148,15 +147,14 @@ def test_criterion_06_oracle_equivalence():
         assert len(pool) >= 10
         for i in range(50):
             spec = pool[i % len(pool)]
-            classes = spec.size_classes()
-            if len(classes) == 1:
-                w = WeightAssignment(((classes[0][0], F(1, spec.b)),))
+            if len(spec.classes) == 1:
+                w = (F(1, spec.b),)
             else:
-                (nl, kl), (ns, ks_) = classes
+                (nl, kl), (ns, ks_) = spec.classes
                 sl, ss = nl * kl, ns * ks_
                 d = rng.randint(5, 40)
                 p = F(rng.randint(1, d - 1), d * sl)
-                w = WeightAssignment(((nl, p), (ns, (1 - sl * p) / ss)))
+                w = (p, (1 - sl * p) / ss)
             g = realize_spec(spec, w)
             assert spec_density(spec, w, spec.s) == ks_density(g, spec.s)
 

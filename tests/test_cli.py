@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import weakref
@@ -10,10 +11,18 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import SCHEMA_DIR
-from rtdensity import WeightedGraph, complete_balanced, dumps_graph, parse_fraction, rho
+from rtdensity import (
+    WeightedGraph,
+    complete_balanced,
+    dumps_graph,
+    parse_fraction,
+    realize_spec,
+    rho,
+)
 from rtdensity.cli import main
 from rtdensity.sphere import MAX_H, MAX_N
 from rtdensity.verify import (
+    BASIS_M_LIMIT,
     SEARCH_SPACE_LIMIT,
     WEIGHT_CELL_LIMIT,
     SearchConfig,
@@ -74,6 +83,23 @@ def test_density_byte_identical(runner):
     a = runner.invoke(main, ["density", "--s", "5", "--t", "11"])
     b = runner.invoke(main, ["density", "--s", "5", "--t", "11"])
     assert a.output == b.output
+
+
+# stdout sha256 of density and audit runs: the output contract across changes
+# to the engine. A deliberate output change must update these values.
+GOLDEN_SHA256 = {
+    "density --s 5 --t 11": "78bf30122674c0f3d7175b7a97f141572957290ab92ac08209e2e67051e33b20",
+    "density --s 2 --t 9": "29fa15b8be745a5a6998e0eadd1cd747ca942b1bff27c3ce09fbc45254bd14f1",
+    "density --s 3 --t 6 --format csv": "d731e906b0fc83cc1c650708bcddc0bca37e0bafacf40e24a10316e5dc393fbd",
+    "audit --s 5 --t-min 7 --t-max 30": "db96139142ce8de1310144df0775cfe319213727cca6f76d888b7cfb013377f8",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_output_matches_golden_sha256(runner, command):
+    result = runner.invoke(main, command.split())
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_SHA256[command]
 
 
 def test_audit_json_and_schema(runner):
@@ -149,6 +175,75 @@ def test_coeffs_json_text_and_schema(runner):
     validate_schema(payload, "coeffs")
     result = runner.invoke(main, ["coeffs", "--m", "2", "--format", "text"])
     assert result.output == "c_0=1, c_1=1\n"
+
+
+def test_coeffs_refuses_above_limit(runner):
+    result = runner.invoke(main, ["coeffs", "--m", str(BASIS_M_LIMIT + 1)])
+    assert result.exit_code == 3
+    # one stderr line and no payload
+    assert result.output == f"refused: m = {BASIS_M_LIMIT + 1} exceeds the limit of {BASIS_M_LIMIT}\n"
+
+
+def test_structure_refuses_negative_s_and_t(runner, k5_file):
+    for args in (["--s", "-2", "--t", "11"], ["--s", "5", "--t", "-1"], ["--s", "5", "--t", "0"]):
+        result = runner.invoke(main, ["structure", "--graph", k5_file] + args)
+        assert result.exit_code == 2, args
+        assert "Traceback" not in result.output
+
+
+def test_structure_a5_holds_at_s2(runner, tmp_path):
+    # rho(2, 6)'s winner: parts of sizes 2 and 1
+    res = rho(2, 6)
+    best = res.per_spec[res.best_index]
+    assert best.spec.part_sizes == (2, 1)
+    path = tmp_path / "winner.json"
+    path.write_text(dumps_graph(realize_spec(best.spec, best.weights)))
+    payload = run_json(runner, ["structure", "--graph", str(path), "--s", "2", "--t", "6"])
+    assert payload["a5"] is True and payload["all_hold"] is True
+
+
+def check_rejects(runner, tmp_path, text: str, fragment: str):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["check", "--graph", str(path), "--t", "3"])
+    assert result.exit_code == 2, result.output  # a traceback exits 1
+    assert fragment in result.output
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": [{"id": 0, "w": 1}]}',
+        '{"vertices": [{"id": 0, "w": "1/2"}, {"id": 1, "w": 0.5}]}',
+        '{"vertices": [{"id": 0, "w": "1/2"}, {"id": 1, "w": "1/2"}], "edges": [{"u": 0, "v": 1, "w": 1}]}',
+    ],
+)
+def test_graph_file_rejects_numeric_weights(runner, tmp_path, text):
+    check_rejects(runner, tmp_path, text, '"p/q" string')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": [{"id": 0, "w": "1"}], "extra": 1}',
+        '{"vertices": [{"id": 0, "w": "1", "label": "a"}]}',
+        '{"vertices": [{"id": 0, "w": "1/2"}, {"id": 1, "w": "1/2"}], "edges": [{"u": 0, "v": 1, "w": "1", "x": 0}]}',
+    ],
+)
+def test_graph_file_rejects_unknown_keys(runner, tmp_path, text):
+    check_rejects(runner, tmp_path, text, "keys")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": 5}',
+        '{"vertices": [{"id": 0, "w": "1"}], "edges": 3}',
+        '{"vertices": [{"id": 0, "w": "1"}], "edges": {"u": 0}}',
+    ],
+)
+def test_graph_file_rejects_non_list_members(runner, tmp_path, text):
+    check_rejects(runner, tmp_path, text, "'vertices' list")
 
 
 def test_structure_json_and_schema(runner, counterexample_file):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rtdensity import (
     PartitionSpec,
-    WeightAssignment,
     audit_conjecture,
     balanced_density,
     enumerate_specs,
@@ -24,24 +23,22 @@ def test_optimize_single_class_uniform():
     spec = enumerate_specs(5, 11)[0]  # (5,5)
     opt = optimize_spec(spec)
     assert opt.certified == opt.upper == F(24, 625)
-    assert opt.weights.weight_for(1) == F(1, 5)
+    assert opt.weights == (F(1, 5),)
 
 
 def test_optimize_two_class_snaps_to_exact_optimum():
     spec = enumerate_specs(5, 10)[0]  # (5,4) sizes (2,1,1,1)
     opt = optimize_spec(spec)
     assert opt.certified == F(12, 625) <= opt.upper
-    assert opt.weights.weight_for(2) == F(1, 5)
-    assert opt.weights.weight_for(1) == F(1, 5)
+    assert opt.spec.classes == ((2, 1), (1, 3))
+    assert opt.weights == (F(1, 5), F(1, 5))
 
 
 def test_optimize_beats_balanced_graph_for_t11():
     spec = enumerate_specs(5, 11)[1]  # (6,4)
     opt = optimize_spec(spec)
     assert opt.certified > F(24, 625)
-    known_good_point = spec_density(
-        spec, WeightAssignment(((2, F(4, 25)), (1, F(9, 50)))), 5
-    )
+    known_good_point = spec_density(spec, (F(4, 25), F(9, 50)), 5)
     assert opt.certified >= known_good_point
 
 
@@ -55,10 +52,9 @@ def test_weight_ordering_at_optima():
     # larger size class never carries a larger per-vertex weight at the optimum
     for s, t in [(2, 6), (2, 8), (3, 8), (4, 10), (5, 10), (5, 11), (5, 12)]:
         for opt in rho(s, t).per_spec:
-            classes = opt.spec.size_classes()
-            if len(classes) == 2:
-                (n_large, _), (n_small, _) = classes
-                assert opt.weights.weight_for(n_large) <= opt.weights.weight_for(n_small)
+            if len(opt.spec.classes) == 2:
+                weight_large, weight_small = opt.weights
+                assert weight_large <= weight_small
 
 
 def test_rho_classical_s2_values():
@@ -157,9 +153,8 @@ def two_class_specs(draw):
     n_small = draw(st.integers(1, 6))
     n_large = draw(st.integers(n_small + 1, 8))
     k_large, k_small = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    sizes = (n_large,) * k_large + (n_small,) * k_small
-    a = len(sizes)
-    return PartitionSpec(s, sum(sizes) + a + 1, sum(sizes), a, sizes)
+    b, a = n_large * k_large + n_small * k_small, k_large + k_small
+    return PartitionSpec(s, b + a + 1, b, a, ((n_large, k_large), (n_small, k_small)))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -169,9 +164,8 @@ def test_enclosure_on_random_two_class_skeletons(spec, points):
     opt = optimize_spec(spec)
     assert opt.certified == spec_density(spec, opt.weights, s) <= opt.upper
     # the density at other interior points never exceeds the upper bound
-    (n_large, k_large), (n_small, k_small) = spec.size_classes()
+    (n_large, k_large), (n_small, k_small) = spec.classes
     for x in points:
         if 0 < x < 1:
-            p, q = x / (n_large * k_large), (1 - x) / (n_small * k_small)
-            w = WeightAssignment(((n_large, p), (n_small, q)))
+            w = (x / (n_large * k_large), (1 - x) / (n_small * k_small))
             assert spec_density(spec, w, s) <= opt.upper

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import comb
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtdensity import (
-    WeightAssignment,
+    PartitionSpec,
     WeightedGraph,
     complete_balanced,
     enumerate_specs,
@@ -20,21 +21,20 @@ from rtdensity import (
     uniform_assignment,
     validate,
 )
-from rtdensity.partitions import assignment_to_dict, balanced_sizes, class_poly, parts_graph
+from rtdensity.partitions import assignment_to_dict, class_poly, parts_graph, size_rule
 from rtdensity.rationals import format_fraction
 
 
-def random_assignment(rng: random.Random, spec) -> WeightAssignment:
-    classes = spec.size_classes()
-    if len(classes) == 1:
+def random_assignment(rng: random.Random, spec) -> tuple[F, ...]:
+    if len(spec.classes) == 1:
         return uniform_assignment(spec)
-    (n_large, k_large), (n_small, k_small) = classes
+    (n_large, k_large), (n_small, k_small) = spec.classes
     sum_large = n_large * k_large
     sum_small = n_small * k_small
     d = rng.randint(5, 40)
     p = F(rng.randint(1, d - 1), d * sum_large)
     q = (1 - sum_large * p) / sum_small
-    return WeightAssignment(((n_large, p), (n_small, q)))
+    return (p, q)
 
 
 def test_enumerate_specs_examples():
@@ -53,6 +53,12 @@ def test_enumerate_specs_examples():
     ]
     specs = enumerate_specs(3, 5)
     assert [(sp.b, sp.a, sp.part_sizes) for sp in specs] == [(3, 1, (3,))]
+    assert [sp.classes for sp in enumerate_specs(5, 11)] == [
+        ((1, 5),),
+        ((2, 2), (1, 2)),
+        ((3, 1), (2, 2)),
+        ((4, 2),),
+    ]
 
 
 def test_enumerate_specs_invariants():
@@ -61,12 +67,37 @@ def test_enumerate_specs_invariants():
             for spec in enumerate_specs(s, t):
                 assert spec.a + spec.b == t - 1
                 assert spec.b >= max(s, (t - 1 + 1) // 2)
-                assert sum(spec.part_sizes) == spec.b
-                assert max(spec.part_sizes) - min(spec.part_sizes) <= 1
+                assert sum(size * count for size, count in spec.classes) == spec.b
+                assert sum(count for _, count in spec.classes) == spec.a
+                assert all(count > 0 for _, count in spec.classes)
+                sizes = [size for size, _ in spec.classes]
+                assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+                assert spec.part_sizes == tuple(sorted(spec.part_sizes, reverse=True))
+                assert size_rule(s, spec.a, sizes[0])
                 if s >= 3:
                     assert (spec.a == 1 and spec.b == s) or (
                         spec.a >= 2 and max(spec.part_sizes) <= s - 1
                     )
+
+
+def test_size_rule():
+    assert size_rule(5, 1, 5) and not size_rule(5, 1, 4) and not size_rule(5, 1, 6)
+    assert size_rule(5, 2, 4) and not size_rule(5, 2, 5)
+    # s <= 2: any nonempty partition; no parts never pass
+    assert size_rule(2, 1, 3) and size_rule(2, 4, 7) and size_rule(0, 1, 1)
+    assert not size_rule(2, 0, 0) and not size_rule(5, 0, 0)
+
+
+def test_enumerate_specs_memory_is_linear_in_t():
+    # one O(1) skeleton per b: the per-part tuples took 322 MiB here
+    tracemalloc.start()
+    try:
+        specs = enumerate_specs(5, 20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(specs) == 6000 and specs[0].classes == ((2, 1), (1, 9998))
+    assert peak < 8 * 2**20
 
 
 def test_enumerate_specs_domain_error():
@@ -75,9 +106,11 @@ def test_enumerate_specs_domain_error():
 
 
 def test_balanced_sizes():
-    assert balanced_sizes(7, 3) == (3, 2, 2)
-    assert balanced_sizes(6, 3) == (2, 2, 2)
-    assert balanced_sizes(5, 1) == (5,)
+    # classes come from divmod(b, a); part_sizes expands them, descending
+    by_ba = {(sp.b, sp.a): sp for t in (7, 10, 11) for sp in enumerate_specs(5, t)}
+    assert by_ba[7, 3].classes == ((3, 1), (2, 2)) and by_ba[7, 3].part_sizes == (3, 2, 2)
+    assert by_ba[6, 3].classes == ((2, 3),) and by_ba[6, 3].part_sizes == (2, 2, 2)
+    assert by_ba[5, 1].classes == ((5, 1),) and by_ba[5, 1].part_sizes == (5,)
 
 
 def test_realize_spec_examples():
@@ -93,7 +126,7 @@ def test_realize_spec_examples():
 
 def test_realize_counterexample_point():
     spec = enumerate_specs(5, 11)[1]  # (6,4) sizes (2,2,1,1)
-    w = WeightAssignment(((2, F(4, 25)), (1, F(9, 50))))
+    w = (F(4, 25), F(9, 50))
     g = realize_spec(spec, w)
     assert validate(g).ok
     res = is_ckt_free(g, 11)
@@ -104,7 +137,12 @@ def test_realize_counterexample_point():
 def test_realize_rejects_weight_mismatch():
     spec = enumerate_specs(5, 11)[1]
     with pytest.raises(ValueError):
-        realize_spec(spec, WeightAssignment(((2, F(1, 4)), (1, F(1, 4)))))
+        realize_spec(spec, (F(1, 4), F(1, 4)))
+    # one weight per size class
+    with pytest.raises(ValueError, match="2 size classes"):
+        realize_spec(spec, (F(1, 6),))
+    with pytest.raises(ValueError, match="1 size classes"):
+        spec_density(enumerate_specs(5, 11)[0], (F(1, 5), F(1, 5)), 5)
 
 
 def test_realized_specs_are_t_free(rng):
@@ -186,8 +224,8 @@ def test_parts_density_two_part_closed_form():
 
 
 def test_spec_json_roundtrip():
-    w = WeightAssignment(((2, F(4, 25)), (1, F(9, 50))))
-    assert assignment_to_dict(w) == {"2": "4/25", "1": "9/50"}
+    spec = enumerate_specs(5, 11)[1]  # (6,4) sizes (2,2,1,1)
+    assert assignment_to_dict(spec, (F(4, 25), F(9, 50))) == {"2": "4/25", "1": "9/50"}
 
 
 WEIGHTS = st.one_of(

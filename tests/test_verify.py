@@ -22,7 +22,7 @@ from rtdensity import (
     two_part_graph,
     verify_two_part_decomposition,
 )
-from rtdensity.partitions import WeightAssignment, enumerate_specs
+from rtdensity.partitions import enumerate_specs
 from rtdensity import verify
 from rtdensity.verify import search_space_size
 
@@ -186,8 +186,7 @@ def test_check_structure_examples():
     assert rep.partition == ((0,), (1,), (2,), (3,), (4,))
 
     spec = enumerate_specs(5, 11)[1]
-    w = WeightAssignment(((2, F(4, 25)), (1, F(9, 50))))
-    rep = check_structure(realize_spec(spec, w), 5, 11)
+    rep = check_structure(realize_spec(spec, (F(4, 25), F(9, 50))), 5, 11)
     assert rep.all_hold
     assert len(rep.partition) == 4
 
@@ -197,6 +196,20 @@ def test_check_structure_examples():
     rep = check_structure(bad, 3, 5)
     assert not rep.a1
     assert rep.a3 is None and rep.a4 is None and rep.a5 is None
+
+
+def test_every_skeleton_optimum_satisfies_a1_to_a5():
+    # enumerate_specs and A5 apply the same size rule, so each skeleton of
+    # rho(s, t), realized at its optimum weights, passes every predicate
+    checked = 0
+    for s in range(2, 8):
+        for t in range(s + 2, 3 * s + 3):
+            for opt in rho(s, t).per_spec:
+                if opt.spec.b <= 14:
+                    rep = check_structure(realize_spec(opt.spec, opt.weights), s, t)
+                    assert rep.all_hold, (s, t, opt.spec.b, rep.details)
+                    checked += 1
+    assert checked == 197
 
 
 def test_check_structure_partial_failures():

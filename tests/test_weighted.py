@@ -227,6 +227,10 @@ def test_graph_json_missing_pairs_default_zero():
     [
         ('{"vertices": [{"id": 0, "w": "1/2"}, {"id": 2, "w": "1/2"}]}', "0..n-1"),
         ('{"vertices": [{"id": 0, "w": "0.5"}]}', "malformed rational"),
+        ('{"vertices": [{"id": 0, "w": "1/0"}]}', "malformed rational"),
+        ('{"vertices": [{"id": 0, "w": " 1"}]}', '"p/q" string'),
+        ('{"vertices": [{"id": 0, "w": "1_0/1_0"}]}', '"p/q" string'),
+        ('{"vertices": [{"id": 0, "w": "1/-2"}]}', '"p/q" string'),
         (
             '{"vertices": [{"id": 0, "w": "1/2"}, {"id": 1, "w": "1/2"}],'
             ' "edges": [{"u": 0, "v": 0, "w": "1"}]}',
