@@ -4,7 +4,7 @@ Every subcommand prints a machine-readable report (JSON by default, CSV or
 aligned text on request). Identical invocations produce byte-identical
 output. Exit codes: 0 success, 2 flag or input errors (including a search
 space with no t-free graph or an unwritable realize --out), 3 refused search
-space, realization size or coeffs order.
+space, realization size, coeffs order or density output size.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import click
 
 from .freeness import is_ckt_free, max_weighted_clique_score
 from .optimize import audit_conjecture, rho
-from .partitions import assignment_to_dict
+from .partitions import assignment_to_dict, enumerate_specs
 from .rationals import format_fraction, parse_fraction
 from .serialize import csv_text, dumps, exact_float, float15, table
 from .sphere import BEConfig, RealizationLimitError, graph_stats, realize
@@ -32,6 +32,8 @@ from .verify import (
 from .weighted import GraphFormatError, graph_to_dict, load_graph
 
 FORMATS = click.Choice(["json", "csv", "text"])
+# part sizes density prints, the sum of a over enumerate_specs(s, t); s = 5 admits t <= 3086
+DENSITY_SIZE_LIMIT = 10**6
 
 
 def _load(path: str):
@@ -78,6 +80,11 @@ def main():
 @click.option("--format", "fmt", type=FORMATS, default="json", show_default=True)
 def density(s, t, fmt):
     """Maximize the K_s-density over admissible partition skeletons."""
+    if 2 <= s <= t - 2:
+        sizes = sum(spec.a for spec in enumerate_specs(s, t))
+        if sizes > DENSITY_SIZE_LIMIT:
+            click.echo(f"refused: {sizes} part sizes to print exceed the limit of {DENSITY_SIZE_LIMIT}", err=True)
+            sys.exit(3)
     try:
         result = rho(s, t)
     except ValueError as exc:
@@ -355,7 +362,7 @@ def realize_cmd(graph_path, n_total, epsilon, h, seed, out_path, s, t, clique_bu
         if t is None:
             t = max_weighted_clique_score(rg.source)[0] + 1
         stats = graph_stats(rg, s, t, clique_budget=clique_budget, seed=seed)
-        fh.write(rg.to_edge_text())
+        fh.writelines(rg.edge_rows())
     payload = {
         "command": "realize",
         "n": rg.n,

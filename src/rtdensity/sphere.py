@@ -5,17 +5,20 @@ A weighted graph with edge weights in {0, 1/2, 1} turns into a concrete
 simple graph: parts of points on a unit sphere, complete bipartite joins for
 weight-1 pairs, empty joins for weight 0, and randomly rotated sphere-cap
 joins for weight-1/2 pairs. Near-antipodal points are joined inside a part.
-The adjacency matrix is built block by block from thresholded squared-distance
-arrays and packed into the bitmask rows of a SimpleGraph. The construction
-preserves weighted t-clique freeness as K_t-freeness, which the stats report
-checks exactly at desk scale.
+A realized graph is stored as one symmetric boolean adjacency matrix, written
+block by block from thresholded squared-distance arrays; the exact clique
+searches use a bitmask view packed from it once, and the edge file is written
+from it row by row. The construction preserves weighted t-clique freeness as
+K_t-freeness, which the stats report checks exactly at desk scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import accumulate, combinations, combinations_with_replacement
+from typing import Iterator
 
 import numpy as np
 
@@ -105,19 +108,28 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(na[:, None] + nb[None, :] - 2.0 * (a @ b.T), 0.0)
 
 
-def _graph_from_upper(adj: np.ndarray) -> SimpleGraph:
-    """SimpleGraph of the strict upper triangle of a square boolean matrix."""
-    upper = np.triu(adj, 1)
-    packed = np.packbits(upper | upper.T, axis=1, bitorder="little")
+def _thresholds(mu: float) -> tuple[float, float]:
+    """Squared distances that same-part pairs join above and cross pairs below."""
+    return (2.0 - mu) ** 2, (math.sqrt(2.0) - mu) ** 2
+
+
+def _join_within(adj: np.ndarray, part: slice, d2: np.ndarray, near_thr: float) -> None:
+    """Within-part rule on a part's block: its upper triangle, mirrored."""
+    upper = np.triu(d2 > near_thr, 1)
+    adj[part, part] = upper | upper.T
+
+
+def _join_across(adj: np.ndarray, rows: slice, cols: slice, d2: np.ndarray, cross_thr: float) -> None:
+    """Cross rule on the block between two parts, and on its mirror image."""
+    joined = d2 < cross_thr
+    adj[rows, cols] = joined
+    adj[cols, rows] = joined.T
+
+
+def _bitmask_graph(adj: np.ndarray) -> SimpleGraph:
+    """The SimpleGraph whose bitmask rows are the rows of a symmetric matrix."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
     return SimpleGraph(len(adj), tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
-
-
-def _adjacency_matrix(g: SimpleGraph) -> np.ndarray:
-    """The n x n boolean adjacency matrix of g's bitmask rows."""
-    nbytes = (g.n + 7) // 8
-    packed = np.frombuffer(b"".join(row.to_bytes(nbytes, "little") for row in g.adj), np.uint8)
-    bits = np.unpackbits(packed.reshape(g.n, nbytes), axis=1, count=g.n, bitorder="little")
-    return bits.view(bool)
 
 
 def be_graph(x: np.ndarray, y: np.ndarray, mu: float) -> SimpleGraph:
@@ -125,32 +137,36 @@ def be_graph(x: np.ndarray, y: np.ndarray, mu: float) -> SimpleGraph:
     sqrt(2) - mu, same-side pairs join above distance 2 - mu (strictly)."""
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ValueError("point sets must share one ambient dimension")
-    nx, ny = len(x), len(y)
-    cross_thr = (math.sqrt(2.0) - mu) ** 2
-    near_thr = (2.0 - mu) ** 2
-    adj = np.zeros((nx + ny, nx + ny), dtype=bool)
-    adj[:nx, :nx] = _sq_dists(x, x) > near_thr
-    adj[nx:, nx:] = _sq_dists(y, y) > near_thr
-    adj[:nx, nx:] = _sq_dists(x, y) < cross_thr
-    return _graph_from_upper(adj)
+    near_thr, cross_thr = _thresholds(mu)
+    xs, ys = slice(0, len(x)), slice(len(x), len(x) + len(y))
+    adj = np.zeros((ys.stop, ys.stop), dtype=bool)
+    _join_within(adj, xs, _sq_dists(x, x), near_thr)
+    _join_within(adj, ys, _sq_dists(y, y), near_thr)
+    _join_across(adj, xs, ys, _sq_dists(x, y), cross_thr)
+    return _bitmask_graph(adj)
 
 
 def _guard_hit(d2: np.ndarray, thr2: float) -> bool:
     return bool(np.any(np.abs(d2 - thr2) <= GUARD_BAND))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealizedGraph:
     part_sizes: tuple[int, ...]
     offsets: tuple[int, ...]
-    graph: SimpleGraph
+    matrix: np.ndarray  # symmetric boolean adjacency matrix, empty diagonal
     provenance: tuple[tuple[str, ...], ...]  # per-pair rule, diag = within-part
     config: BEConfig
     source: WeightedGraph  # edge weights already rounded up to halves
 
     @property
     def n(self) -> int:
-        return self.graph.n
+        return len(self.matrix)
+
+    @cached_property
+    def graph(self) -> SimpleGraph:
+        """Bitmask view of the matrix for the exact clique searches."""
+        return _bitmask_graph(self.matrix)
 
     def parts(self) -> list[range]:
         return [
@@ -158,17 +174,19 @@ class RealizedGraph:
             for off, size in zip(self.offsets, self.part_sizes)
         ]
 
+    def edge_rows(self) -> Iterator[str]:
+        """The edge file, one chunk per row: header `N parts=[n1,...]`, then
+        each vertex u's `u v` lines for its neighbours v > u, ascending."""
+        yield f"{self.n} parts=[{','.join(str(x) for x in self.part_sizes)}]\n"
+        labels = np.array([f"{v}\n" for v in range(self.n)], dtype=object)
+        for u, row in enumerate(self.matrix):
+            nbrs = labels[u + 1 :][row[u + 1 :]].tolist()
+            if nbrs:
+                yield f"{u} " + f"{u} ".join(nbrs)
+
     def to_edge_text(self) -> str:
-        """Header `N parts=[n1,...]`, then one `u v` line per edge, u < v,
-        ordered by u and then v."""
-        sizes = ",".join(str(x) for x in self.part_sizes)
-        lines = [f"{self.n} parts=[{sizes}]"]
-        upper = np.triu(_adjacency_matrix(self.graph), 1)
-        labels = np.array([str(v) for v in range(self.n)], dtype=object)
-        lines += [
-            f"{u} " + f"\n{u} ".join(labels[row]) for u, row in enumerate(upper) if row.any()
-        ]
-        return "\n".join(lines) + "\n"
+        """The whole edge file as one string: the join of `edge_rows`."""
+        return "".join(self.edge_rows())
 
 
 def _part_sizes(weights, n_total: int) -> list[int]:
@@ -192,9 +210,10 @@ def realize(r: WeightedGraph, n_total: int, cfg: BEConfig) -> RealizedGraph:
     floor(weight * N) vertices; every half-weight pair uses an independent
     uniformly random rotation, re-sampled if any squared distance falls
     within the guard band of a threshold, so edge membership is stable.
-    The adjacency matrix is written block by block from the thresholded
-    squared distances that passed the guard-band test. N above MAX_N or h
-    above MAX_H raises RealizationLimitError before anything is allocated.
+    The adjacency matrix is written block by block, each block with its
+    mirror image, from the thresholded squared distances that passed the
+    guard-band test; it is returned read-only. N above MAX_N or h above
+    MAX_H raises RealizationLimitError before anything is allocated.
     """
     if n_total > MAX_N or cfg.h > MAX_H:
         raise RealizationLimitError(f"N = {n_total}, h = {cfg.h}: the limits are N <= {MAX_N}, h <= {MAX_H}")
@@ -204,17 +223,10 @@ def realize(r: WeightedGraph, n_total: int, cfg: BEConfig) -> RealizedGraph:
     if n_total < r.n:
         raise ValueError("N must be at least the number of parts")
     rounded = round_edges_up(r)
-    nparts = rounded.n
     sizes = _part_sizes(rounded.vertex_weights, n_total)
-    offsets = []
-    acc = 0
-    for sz in sizes:
-        offsets.append(acc)
-        acc += sz
+    offsets = [0, *accumulate(sizes)][:-1]
     blocks = [slice(off, off + sz) for off, sz in zip(offsets, sizes)]
-    mu = cfg.mu
-    near_thr = (2.0 - mu) ** 2
-    cross_thr = (math.sqrt(2.0) - mu) ** 2
+    near_thr, cross_thr = _thresholds(cfg.mu)
     adj = np.zeros((n_total, n_total), dtype=bool)
 
     points: list[np.ndarray] = []
@@ -227,41 +239,30 @@ def realize(r: WeightedGraph, n_total: int, cfg: BEConfig) -> RealizedGraph:
                 break
         else:
             raise RuntimeError("could not sample part points outside the guard band")
-        adj[blocks[i], blocks[i]] = d2 > near_thr
+        _join_within(adj, blocks[i], d2, near_thr)
         points.append(pts)
 
-    provenance = [["" for _ in range(nparts)] for _ in range(nparts)]
-    for i in range(nparts):
-        provenance[i][i] = "within-part"
-        for j in range(i + 1, nparts):
-            w = rounded.edge_weights[i][j]
-            if w == ONE:
-                provenance[i][j] = provenance[j][i] = "complete"
-                adj[blocks[i], blocks[j]] = True
-            elif w == HALF:
-                provenance[i][j] = provenance[j][i] = "BE-rotated"
-                if sizes[i] == 0 or sizes[j] == 0:
-                    continue
-                gen = _rng(cfg.seed, 1, i, j)
-                for _ in range(_MAX_RESAMPLE):
-                    rot = random_rotation(cfg.h, gen)
-                    d2 = _sq_dists(points[i] @ rot.T, points[j])
-                    if not _guard_hit(d2, cross_thr):
-                        break
-                else:
-                    raise RuntimeError("could not rotate outside the guard band")
-                adj[blocks[i], blocks[j]] = d2 < cross_thr
-            else:
-                provenance[i][j] = provenance[j][i] = "empty"
-
-    return RealizedGraph(
-        tuple(sizes),
-        tuple(offsets),
-        _graph_from_upper(adj),
-        tuple(tuple(row) for row in provenance),
-        cfg,
-        rounded,
+    rules = {ONE: "complete", HALF: "BE-rotated"}
+    provenance = tuple(
+        tuple("within-part" if i == j else rules.get(w, "empty") for j, w in enumerate(row))
+        for i, row in enumerate(rounded.edge_weights)
     )
+    for i, j in combinations(range(rounded.n), 2):
+        if provenance[i][j] == "complete":
+            adj[blocks[i], blocks[j]] = adj[blocks[j], blocks[i]] = True
+        elif provenance[i][j] == "BE-rotated" and sizes[i] and sizes[j]:
+            gen = _rng(cfg.seed, 1, i, j)
+            for _ in range(_MAX_RESAMPLE):
+                rot = random_rotation(cfg.h, gen)
+                d2 = _sq_dists(points[i] @ rot.T, points[j])
+                if not _guard_hit(d2, cross_thr):
+                    break
+            else:
+                raise RuntimeError("could not rotate outside the guard band")
+            _join_across(adj, blocks[i], blocks[j], d2, cross_thr)
+
+    adj.flags.writeable = False  # the cached bitmask view must stay in step
+    return RealizedGraph(tuple(sizes), tuple(offsets), adj, provenance, cfg, rounded)
 
 
 def _floyd_samples(rng: np.random.Generator, n: int, s: int, count: int) -> np.ndarray:
@@ -294,9 +295,7 @@ def graph_stats(
     s-subsets of the vertices, drawn by Floyd's algorithm from a generator
     seeded with (seed, 2).
     """
-    g = rg.graph
-    n = g.n
-    matrix = _adjacency_matrix(g)
+    n, matrix, g = rg.n, rg.matrix, rg.graph
     exact = n <= clique_budget
     if exact:
         omega, _ = max_clique(g.adj)
@@ -311,25 +310,23 @@ def graph_stats(
 
     blocks = [slice(p.start, p.stop) for p in rg.parts()]
     pair_rows = []
-    nparts = len(rg.part_sizes)
-    for i in range(nparts):
-        for j in range(i, nparts):
-            edges = int(matrix[blocks[i], blocks[j]].sum())
-            if i == j:
-                edges //= 2  # the diagonal block counts each edge from both ends
-                possible = rg.part_sizes[i] * (rg.part_sizes[i] - 1) // 2
-            else:
-                possible = rg.part_sizes[i] * rg.part_sizes[j]
-            pair_rows.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "rule": rg.provenance[i][j],
-                    "edges": edges,
-                    "possible": possible,
-                    "density": edges / possible if possible else 0.0,
-                }
-            )
+    for i, j in combinations_with_replacement(range(len(blocks)), 2):
+        edges = int(matrix[blocks[i], blocks[j]].sum())
+        if i == j:
+            edges //= 2  # the diagonal block counts each edge from both ends
+            possible = rg.part_sizes[i] * (rg.part_sizes[i] - 1) // 2
+        else:
+            possible = rg.part_sizes[i] * rg.part_sizes[j]
+        pair_rows.append(
+            {
+                "i": i,
+                "j": j,
+                "rule": rg.provenance[i][j],
+                "edges": edges,
+                "possible": possible,
+                "density": edges / possible if possible else 0.0,
+            }
+        )
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     hits = 0

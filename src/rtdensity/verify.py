@@ -87,16 +87,6 @@ class BruteForceResult:
     searched: int  # (edge assignment, weight composition) pairs evaluated
 
 
-def _compositions(total: int, parts: int):
-    """Positive integer compositions of total into `parts` parts."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _permutation_table(
     n: int, perms: Iterable[tuple[int, ...]]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -165,7 +155,11 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
     scaled = [int(w * scale) for w in values]
     positive = [w > 0 for w in values]
     heavy = [w > HALF for w in values]
-    compositions = list(_compositions(d, n))
+    # positive compositions of d into n parts, by stars and bars over the cuts
+    compositions = [
+        tuple(b - a for a, b in zip((0, *cuts), (*cuts, d)))
+        for cuts in combinations(range(1, d), n - 1)
+    ]
     subsets = list(combinations(range(n), s))
     subset_pairs = [[pair_index[pair] for pair in combinations(sub, 2)] for sub in subsets]
     # per composition, the weight product of every s-subset

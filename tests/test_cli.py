@@ -19,7 +19,9 @@ from rtdensity import (
     realize_spec,
     rho,
 )
-from rtdensity.cli import main
+from rtdensity import cli
+from rtdensity.cli import DENSITY_SIZE_LIMIT, main
+from rtdensity.partitions import enumerate_specs
 from rtdensity.sphere import MAX_H, MAX_N
 from rtdensity.verify import (
     BASIS_M_LIMIT,
@@ -127,6 +129,27 @@ def test_search_json_and_schema(runner):
     assert payload["density"]["exact"] == "1/36"
     validate_schema(payload, "search")
     validate_schema(payload["best_graph"], "graph")
+
+
+def test_density_refuses_output_over_limit_before_optimizing(runner, monkeypatch):
+    def printed(t):
+        return sum(spec.a for spec in enumerate_specs(5, t))
+
+    assert printed(3086) <= DENSITY_SIZE_LIMIT < printed(3087)
+    optimized = []
+
+    def stub_rho(s, t):
+        optimized.append(t)
+        raise RuntimeError("stub: the limit check passed")
+
+    monkeypatch.setattr(cli, "rho", stub_rho)
+    result = runner.invoke(main, ["density", "--s", "5", "--t", "3087"])
+    assert result.exit_code == 3
+    # one stderr line and nothing on stdout
+    assert result.output == f"refused: {printed(3087)} part sizes to print exceed the limit of {DENSITY_SIZE_LIMIT}\n"
+    assert optimized == []
+    result = runner.invoke(main, ["density", "--s", "5", "--t", "3086"])
+    assert isinstance(result.exception, RuntimeError) and optimized == [3086]
 
 
 def test_search_refusal_exit_code(runner):

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph
 from rtdensity import (
@@ -104,6 +106,28 @@ def test_freeness_monotone_in_t(rng):
             if is_ckt_free(g, t).free:
                 assert all(is_ckt_free(g, tp).free for tp in range(t, 12))
                 break
+
+
+@st.composite
+def weighted_graphs_with_raise(draw):
+    """A weighted graph and a copy whose edge weights are each at least as high."""
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(range(n), 2))
+    # edge weights in quarters; each pair is raised by 0 to 4 quarters, capped at 1
+    quarters = st.lists(st.integers(0, 4), min_size=len(pairs), max_size=len(pairs))
+    low, lift = draw(quarters), draw(quarters)
+    high = [min(4, k + d) for k, d in zip(low, lift)]
+    return tuple(
+        WeightedGraph.build([F(1, n)] * n, {pair: F(k, 4) for pair, k in zip(pairs, ks)})
+        for ks in (low, high)
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(weighted_graphs_with_raise())
+def test_score_monotone_in_edge_weights(graphs):
+    low, high = graphs
+    assert max_weighted_clique_score(low)[0] <= max_weighted_clique_score(high)[0]
 
 
 def test_rounding_preserves_score(rng):

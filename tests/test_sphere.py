@@ -15,7 +15,6 @@ from rtdensity.graphs import SimpleGraph, has_clique
 from rtdensity.sphere import (
     _SAMPLE_BLOCK,
     BEConfig,
-    _adjacency_matrix,
     _floyd_samples,
     _greedy_clique,
     _sq_dists,
@@ -224,6 +223,30 @@ def test_be_graph_matches_scalar_reference():
             assert 0 < g.edge_count() < (nx + ny) * (nx + ny - 1) // 2
 
 
+def edge_matrix(n, pairs):
+    m = np.zeros((n, n), dtype=bool)
+    for u, v in pairs:
+        m[u, v] = m[v, u] = True
+    return m
+
+
+def test_realized_matrix_is_symmetric_and_graph_is_its_view():
+    for rg in (
+        realize(counterexample_graph(), 300, BEConfig(0.2, 16, seed=1)),
+        realize(half_edge_graph(), 200, BEConfig(0.99, 16, seed=1)),
+        realize(complete_balanced(3), 3, BEConfig(0.2, 16, seed=1)),
+    ):
+        m = rg.matrix
+        assert m.dtype == bool and m.shape == (rg.n, rg.n)
+        assert np.array_equal(m, m.T) and not m.diagonal().any()
+        assert not m.flags.writeable
+        assert rg.graph is rg.graph  # packed once
+        us, vs = np.nonzero(np.triu(m, 1))
+        assert rg.graph == SimpleGraph.from_edges(rg.n, zip(us.tolist(), vs.tolist()))
+        # identity equality and hashing: no elementwise ndarray comparison
+        assert rg == rg and rg != dataclasses.replace(rg) and hash(rg) == hash(rg)
+
+
 def reference_edge_text(rg):
     lines = [f"{rg.n} parts=[{','.join(str(x) for x in rg.part_sizes)}]"]
     for u in range(rg.n):
@@ -243,8 +266,8 @@ def test_edge_text_matches_bit_loop():
     rng = random.Random(5)
     for rg in list(rgs):
         pairs = [(u, v) for u, v in combinations(range(rg.n), 2) if rng.random() < 0.3]
-        rgs.append(dataclasses.replace(rg, graph=SimpleGraph.from_edges(rg.n, pairs)))
-    rgs.append(dataclasses.replace(rgs[0], graph=SimpleGraph(60, (0,) * 60)))
+        rgs.append(dataclasses.replace(rg, matrix=edge_matrix(rg.n, pairs)))
+    rgs.append(dataclasses.replace(rgs[0], matrix=edge_matrix(60, [])))
     for rg in rgs:
         assert rg.to_edge_text() == reference_edge_text(rg)
 
@@ -317,15 +340,17 @@ def reference_greedy_clique(g):
 
 def test_greedy_clique_matches_bitmask_loop():
     rng = random.Random(3)
-    graphs = [SimpleGraph(20, (0,) * 20), SimpleGraph.complete(9)]
+    edge_lists = [(20, []), (9, list(combinations(range(9), 2)))]
     for n in range(1, 151):
         p = (0.1, 0.3, 0.5, 0.7, 0.9)[n % 5]
-        graphs.append(SimpleGraph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+        edge_lists.append((n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    cases = [(edge_matrix(n, edges), SimpleGraph.from_edges(n, edges)) for n, edges in edge_lists]
     for n_total in (101, 300, 1200):
         for seed in (0, 1, 2):
-            graphs.append(realize(counterexample_graph(), n_total, BEConfig(0.2, 16, seed=seed)).graph)
-    for g in graphs:
-        assert _greedy_clique(_adjacency_matrix(g)) == reference_greedy_clique(g)
+            rg = realize(counterexample_graph(), n_total, BEConfig(0.2, 16, seed=seed))
+            cases.append((rg.matrix, rg.graph))
+    for matrix, g in cases:
+        assert _greedy_clique(matrix) == reference_greedy_clique(g)
 
 
 def test_pair_densities_match_has_edge_counts():
