@@ -15,7 +15,7 @@ import click
 
 from .freeness import is_ckt_free, max_weighted_clique_score
 from .optimize import audit_conjecture, rho
-from .partitions import assignment_to_dict, enumerate_specs
+from .partitions import assignment_to_dict, parts_total
 from .rationals import format_fraction, parse_fraction
 from .serialize import csv_text, dumps, exact_float, float15, table
 from .sphere import BEConfig, RealizationLimitError, graph_stats, realize
@@ -32,7 +32,7 @@ from .verify import (
 from .weighted import GraphFormatError, graph_to_dict, load_graph
 
 FORMATS = click.Choice(["json", "csv", "text"])
-# part sizes density prints, the sum of a over enumerate_specs(s, t); s = 5 admits t <= 3086
+# part sizes density prints, partitions.parts_total(s, t); s = 5 admits t <= 3086
 DENSITY_SIZE_LIMIT = 10**6
 
 
@@ -81,7 +81,7 @@ def main():
 def density(s, t, fmt):
     """Maximize the K_s-density over admissible partition skeletons."""
     if 2 <= s <= t - 2:
-        sizes = sum(spec.a for spec in enumerate_specs(s, t))
+        sizes = parts_total(s, t)
         if sizes > DENSITY_SIZE_LIMIT:
             click.echo(f"refused: {sizes} part sizes to print exceed the limit of {DENSITY_SIZE_LIMIT}", err=True)
             sys.exit(3)

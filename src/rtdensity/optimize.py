@@ -23,6 +23,16 @@ are used, so every s is in range. Each skeleton reports two exact values:
   F(l) + (h - l) * M over each refined interval [l, h], where
   M = s * max_j c_j / C(s, j) bounds |F'| on [0, 1] because the Bernstein
   coefficients c_j / C(s, j) of F are nonnegative.
+
+The same coefficients bound F itself: F <= max_j c_j / C(s, j) on [0, 1]
+(Lane & Riesenfeld, BIT 1981). `audit_conjecture`, and `periodicity_check`
+through it, use that bound for branch and bound over skeletons: a skeleton
+whose bound is strictly below the best `certified` found so far can be
+neither the winner nor a tie, so it skips root isolation, refinement and
+snapping. A pruned skeleton still reports a valid enclosure: `certified` is
+F at the uniform point, a real weighting, and `upper` is the Bernstein
+bound. `rho`, and so the `density` command, which prints every skeleton's
+`certified` and `upper`, never prune.
 """
 
 from __future__ import annotations
@@ -187,6 +197,53 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     return f + 1 / _simplest_between(1 / (hi - f), 1 / (lo - f))
 
 
+def _bernstein(spec: PartitionSpec) -> tuple[list[int], Fraction]:
+    """(c, scale) of a two-class skeleton: its density is scale * F(x) with
+    F(x) = sum_j c_j x^j (1 - x)^(s - j) and coprime integers c_j >= 0."""
+    s = spec.s
+    (n_large, k_large), (n_small, k_small) = spec.classes
+    sum_large = n_large * k_large
+    sum_small = n_small * k_small
+    alpha, e_large = class_poly(n_large, k_large, s)
+    beta, e_small = class_poly(n_small, k_small, s)
+    c = [
+        u * v * sum_small**j * sum_large ** (s - j)
+        for j, (u, v) in enumerate(zip(alpha, reversed(beta)))
+    ]
+    g = gcd(*c) or 1  # F = 0 when the skeleton has fewer than s vertices
+    scale = Fraction(
+        factorial(s) * g, (sum_large**s * sum_small**s) << (e_large + e_small)
+    )
+    return [x // g for x in c], scale
+
+
+def _bernstein_max(c: list[int]) -> Fraction:
+    """max_j c_j / C(s, j) >= F on [0, 1]: F is a convex combination of its
+    Bernstein coefficients c_j / C(s, j)."""
+    s = len(c) - 1
+    num, den = c[0], 1
+    for j, x in enumerate(c):
+        binom = comb(s, j)
+        if x * den > num * binom:  # x / binom > num / den, on integers
+            num, den = x, binom
+    return Fraction(num, den)
+
+
+def bound_spec(spec: PartitionSpec) -> SpecOptimum:
+    """An enclosure of one skeleton's supremum without root isolation.
+
+    `certified` is the density at the uniform point and `upper` the
+    Bernstein bound scale * max_j c_j / C(s, j). A single size class is
+    exact, as in `optimize_spec`.
+    """
+    if len(spec.classes) == 1:
+        return optimize_spec(spec)
+    (n_large, k_large), (n_small, k_small) = spec.classes
+    c, scale = _bernstein(spec)
+    uniform = Fraction(_hom_eval(c, n_large * k_large, n_small * k_small), spec.b**spec.s)
+    return SpecOptimum(spec, uniform_assignment(spec), scale * uniform, scale * _bernstein_max(c))
+
+
 def optimize_spec(spec: PartitionSpec) -> SpecOptimum:
     """Certified point and upper bound of the density over one skeleton.
 
@@ -206,18 +263,7 @@ def optimize_spec(spec: PartitionSpec) -> SpecOptimum:
     (n_large, k_large), (n_small, k_small) = spec.classes
     sum_large = n_large * k_large
     sum_small = n_small * k_small
-    alpha, e_large = class_poly(n_large, k_large, s)
-    beta, e_small = class_poly(n_small, k_small, s)
-    c = [
-        u * v * sum_small**j * sum_large ** (s - j)
-        for j, (u, v) in enumerate(zip(alpha, reversed(beta)))
-    ]
-    g = gcd(*c) or 1  # F = 0 when the skeleton has fewer than s vertices
-    c = [x // g for x in c]
-    # density = scale * F(x)
-    scale = Fraction(
-        factorial(s) * g, (sum_large**s * sum_small**s) << (e_large + e_small)
-    )
+    c, scale = _bernstein(spec)
 
     # F in the power basis, by Horner in 1 - x: F_j = F_{j-1} (1 - x) + c_j x^j
     power = [c[0]]
@@ -254,7 +300,7 @@ def optimize_spec(spec: PartitionSpec) -> SpecOptimum:
 
     # the supremum is F(0) or F(1), the limits with one class deleted, or a
     # maximum at an exact root (<= best_f) or inside one of the intervals
-    slope = s * max(Fraction(x, comb(s, j)) for j, x in enumerate(c))  # >= |F'|
+    slope = s * _bernstein_max(c)  # >= |F'|
     upper = max(
         [best_f, Fraction(c[0]), Fraction(c[s])]
         + [
@@ -266,27 +312,51 @@ def optimize_spec(spec: PartitionSpec) -> SpecOptimum:
     return SpecOptimum(spec, weights, scale * best_f, scale * upper)
 
 
-def rho(s: int, t: int) -> OptimizationResult:
-    """Maximize the certified density over every admissible skeleton."""
+def _check_st(s: int, t: int) -> None:
     if not (2 <= s <= t - 2):
         raise ValueError("need 2 <= s <= t - 2")
-    specs = enumerate_specs(s, t)
-    optima = [optimize_spec(sp) for sp in specs]
+
+
+def _result(s: int, t: int, optima: list[SpecOptimum]) -> OptimizationResult:
     density = max(o.certified for o in optima)
     ties = tuple(i for i, o in enumerate(optima) if o.certified == density)
     return OptimizationResult(s, t, tuple(optima), ties[0], density, ties)
 
 
+def rho(s: int, t: int) -> OptimizationResult:
+    """Maximize the certified density over every admissible skeleton."""
+    _check_st(s, t)
+    return _result(s, t, [optimize_spec(sp) for sp in enumerate_specs(s, t)])
+
+
 def audit_conjecture(s: int, t: int) -> AuditReport:
-    """Compare the observed best b against max(s, floor(t/2))."""
-    result = rho(s, t)
+    """Compare the observed best b against max(s, floor(t/2)).
+
+    Branch and bound over the skeletons: the one at the conjectured b, the
+    smallest b `enumerate_specs` admits, is optimized in full, and every
+    other one is first enclosed by `bound_spec`. The best `certified` so
+    far starts at the largest of these values. Skeletons are then taken in
+    order of decreasing bound, and each one whose bound is not strictly
+    below the best so far is optimized in full. A skeleton left pruned can
+    be neither the winner nor a tie, so `result` has the density, winner
+    and ties of `rho(s, t)`, and each of its entries is still a valid
+    enclosure.
+    """
+    _check_st(s, t)
+    specs = enumerate_specs(s, t)
     conjectured_b = max(s, t // 2)
-    at_conjectured = [
-        o.certified for o in result.per_spec if o.spec.b == conjectured_b
-    ]
-    if not at_conjectured:
+    if not specs or specs[0].b != conjectured_b:
         raise RuntimeError(f"no admissible skeleton at the conjectured b={conjectured_b}")
-    margin = result.density - max(at_conjectured)
+    optima = [optimize_spec(specs[0])] + [bound_spec(sp) for sp in specs[1:]]
+    best = max(o.certified for o in optima)
+    for i in sorted(range(1, len(specs)), key=lambda i: optima[i].upper, reverse=True):
+        if optima[i].upper < best:
+            break
+        if optima[i].upper > optima[i].certified:
+            optima[i] = optimize_spec(specs[i])
+            best = max(best, optima[i].certified)
+    result = _result(s, t, optima)
+    margin = result.density - optima[0].certified
     observed_b = result.per_spec[result.best_index].spec.b
     counterexample = observed_b != conjectured_b and margin > 0
     return AuditReport(s, t, conjectured_b, observed_b, counterexample, margin, result)

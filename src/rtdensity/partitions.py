@@ -70,6 +70,26 @@ def enumerate_specs(s: int, t: int) -> list[PartitionSpec]:
     return specs
 
 
+def parts_total(s: int, t: int) -> int:
+    """sum(spec.a for spec in enumerate_specs(s, t)), in O(1).
+
+    For s <= 2 every b up to t - 2 is admitted. For s >= 3, `size_rule`
+    admits a >= 2 parts exactly when b <= (t - 1)(s - 1) / s, and a = 1 only
+    when b = t - 2 = s; a = t - 1 - b falls by one per step of b.
+    """
+    if s < 2:
+        raise ValueError("s must be at least 2")
+    if t < s + 2:
+        raise ValueError(f"t must be at least s+2 = {s + 2}")
+    b_min = max(s, t // 2)
+    if s == 2:
+        b_max, single = t - 2, 0
+    else:
+        b_max, single = min(t - 3, (t - 1) * (s - 1) // s), int(t - 2 == s)
+    a_max, a_min = t - 1 - b_min, t - 1 - b_max
+    return single + max(0, (a_min + a_max) * (a_max - a_min + 1) // 2)
+
+
 def uniform_assignment(spec: PartitionSpec) -> tuple[Fraction, ...]:
     return (Fraction(1, spec.b),) * len(spec.classes)
 
@@ -127,12 +147,21 @@ def class_poly(size: int, count: int, s: int) -> tuple[list[int], int]:
     is factored out: the z^j coefficient of `count` equal parts of weight w
     in the density generating product is c[j] * w^j / 2^E.
     """
-    e = comb(min(size, s), 2)
-    base = [comb(size, m) << (e - comb(m, 2)) for m in range(min(size, s) + 1)]
-    c = [1]
-    for _ in range(count):
-        c = _mul_trunc(c, base, s)
-    return c + [0] * (s + 1 - len(c)), e * count
+    d = min(size, s)
+    e = comb(d, 2)
+    base = [comb(size, m) << (e - comb(m, 2)) for m in range(d + 1)]
+    if count <= 1:
+        c = base if count else [1]
+        return c + [0] * (s + 1 - len(c)), e * count
+    # J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7): for
+    # P = base^count, base * P' = count * base' * P gives each coefficient
+    # from the ones before it, and the division by j * base[0] = j * 2^e is
+    # exact
+    c = [1 << (e * count)]
+    for j in range(1, s + 1):
+        acc = sum((k * (count + 1) - j) * base[k] * c[j - k] for k in range(1, min(j, d) + 1))
+        c.append((acc >> e) // j)
+    return c, e * count
 
 
 def parts_density(parts: Sequence[tuple[int, RationalLike]], s: int) -> Fraction:

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import json
+import time
 import weakref
 from contextlib import redirect_stdout
 from fractions import Fraction as F
@@ -94,6 +95,8 @@ GOLDEN_SHA256 = {
     "density --s 2 --t 9": "29fa15b8be745a5a6998e0eadd1cd747ca942b1bff27c3ce09fbc45254bd14f1",
     "density --s 3 --t 6 --format csv": "d731e906b0fc83cc1c650708bcddc0bca37e0bafacf40e24a10316e5dc393fbd",
     "audit --s 5 --t-min 7 --t-max 30": "db96139142ce8de1310144df0775cfe319213727cca6f76d888b7cfb013377f8",
+    "audit --s 40 --t-min 80 --t-max 81": "682247fc9b3febd37a5797e9bfa1739936860920583d46bab4499fa685fada39",
+    "density --s 40 --t 81": "37415830d14127980ec15e0d3c8e28e938d15e03a69dc4d55a8bc517674e1f9e",
 }
 
 
@@ -150,6 +153,16 @@ def test_density_refuses_output_over_limit_before_optimizing(runner, monkeypatch
     assert optimized == []
     result = runner.invoke(main, ["density", "--s", "5", "--t", "3086"])
     assert isinstance(result.exception, RuntimeError) and optimized == [3086]
+
+
+def test_density_refusal_at_huge_t_is_constant_time(runner, monkeypatch):
+    monkeypatch.setattr(cli, "rho", None)  # the refusal comes before any optimization
+    start = time.perf_counter()
+    result = runner.invoke(main, ["density", "--s", "5", "--t", "10000000"])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 3 and result.stdout == ""
+    assert result.output.startswith("refused: 10499998500000 part sizes")
+    assert elapsed < 0.5
 
 
 def test_search_refusal_exit_code(runner):

@@ -16,7 +16,7 @@ from rtdensity import (
     spec_density,
     uniform_assignment,
 )
-from rtdensity.optimize import REFINE_BITS, _isolate
+from rtdensity.optimize import REFINE_BITS, _isolate, bound_spec
 
 
 def test_optimize_single_class_uniform():
@@ -91,6 +91,52 @@ def test_audit_holds_for_s3():
     assert not a.counterexample
     assert a.observed_b == a.conjectured_b == 3
     assert a.margin == 0
+
+
+def audit_reference(s, t):
+    """(observed_b, margin, counterexample, result) from rho, with no pruning."""
+    result = rho(s, t)
+    conjectured_b = max(s, t // 2)
+    at_conjectured = max(o.certified for o in result.per_spec if o.spec.b == conjectured_b)
+    observed_b = result.per_spec[result.best_index].spec.b
+    margin = result.density - at_conjectured
+    return observed_b, margin, observed_b != conjectured_b and margin > 0, result
+
+
+@pytest.mark.parametrize(
+    "s, ts", [(s, range(s + 2, 3 * s + 6)) for s in range(3, 9)] + [(40, (80, 81))]
+)
+def test_pruned_audit_matches_unpruned_reference(s, ts):
+    for t in ts:
+        check_pruned_audit(s, t)
+
+
+def check_pruned_audit(s, t):
+    observed_b, margin, counterexample, ref = audit_reference(s, t)
+    rep = audit_conjecture(s, t)
+    assert (rep.observed_b, rep.margin, rep.counterexample) == (observed_b, margin, counterexample)
+    res = rep.result
+    assert (res.density, res.best_index, res.ties) == (ref.density, ref.best_index, ref.ties)
+    pruned = 0
+    for got, full in zip(res.per_spec, ref.per_spec):
+        assert got.spec == full.spec
+        assert got.certified <= full.certified and got.upper >= full.upper
+        # a pruned entry is still the density of a real weighting
+        assert spec_density(got.spec, got.weights, s) == got.certified <= got.upper
+        pruned += got != full
+    if s == 40:
+        assert pruned > len(res.per_spec) // 2
+
+
+def test_bound_spec_encloses_the_optimum():
+    for s, t in [(5, 10), (5, 11), (8, 20), (30, 61)]:
+        for spec in enumerate_specs(s, t):
+            bound, full = bound_spec(spec), optimize_spec(spec)
+            assert bound.weights == uniform_assignment(spec)
+            assert bound.certified == spec_density(spec, bound.weights, s)
+            assert bound.certified <= full.certified <= full.upper <= bound.upper
+            if len(spec.classes) == 1:
+                assert bound == full
 
 
 def test_balanced_density_values():

@@ -21,7 +21,7 @@ from rtdensity import (
     uniform_assignment,
     validate,
 )
-from rtdensity.partitions import assignment_to_dict, class_poly, parts_graph, size_rule
+from rtdensity.partitions import assignment_to_dict, class_poly, parts_graph, parts_total, size_rule
 from rtdensity.rationals import format_fraction
 
 
@@ -259,16 +259,36 @@ def test_parts_kernel_matches_graph(parts, s):
     assert parts_density(parts, s) == ks_density(g, s)
 
 
+def check_class_poly(size, counts, ss):
+    """class_poly(size, count, s) against factor^count expanded in Fractions."""
+    factor = [F(comb(size, m), 2 ** comb(m, 2)) for m in range(size + 1)]
+    full = [F(1)]  # factor^count, untruncated
+    for count in counts:
+        for s in ss:
+            c, e = class_poly(size, count, s)
+            assert len(c) == s + 1 and all(isinstance(x, int) for x in c)
+            assert [F(x, 2**e) for x in c] == (full + [F(0)] * s)[: s + 1], (size, count, s)
+        full = [
+            sum(full[i] * factor[j - i] for i in range(len(full)) if 0 <= j - i <= size)
+            for j in range(len(full) + size)
+        ]
+
+
 def test_class_poly_matches_fraction_expansion():
     for size in range(1, 7):
-        factor = [F(comb(size, m), 2 ** comb(m, 2)) for m in range(size + 1)]
-        full = [F(1)]  # factor^count, untruncated
-        for count in range(6):
-            for s in range(9):
-                c, e = class_poly(size, count, s)
-                assert len(c) == s + 1 and all(isinstance(x, int) for x in c)
-                assert [F(x, 2**e) for x in c] == (full + [F(0)] * s)[: s + 1]
-            full = [
-                sum(full[i] * factor[j - i] for i in range(len(full)) if 0 <= j - i <= size)
-                for j in range(len(full) + size)
-            ]
+        check_class_poly(size, range(6), range(9))
+    # the power recurrence's exact division on large coefficients
+    for size in (1, 2, 3):
+        check_class_poly(size, range(41), range(41))
+    # one part larger than s: the base alone, truncated
+    for size in range(2, 25):
+        check_class_poly(size, range(2), range(size))
+
+
+def test_parts_total_matches_enumeration():
+    for s in range(2, 12):
+        for t in range(s + 2, 200):
+            assert parts_total(s, t) == sum(sp.a for sp in enumerate_specs(s, t)), (s, t)
+    for s, t in [(1, 5), (4, 5)]:
+        with pytest.raises(ValueError):
+            parts_total(s, t)
