@@ -33,7 +33,6 @@ from .partitions import (
     uniform_assignment,
 )
 from .rationals import format_fraction, parse_fraction
-from .sphere import BEConfig, RealizedGraph, be_graph, graph_stats, realize, sample_sphere
 from .verify import (
     BruteForceResult,
     NoFreeGraphError,
@@ -67,3 +66,16 @@ from .weighted import (
 )
 
 __version__ = "0.1.0"
+
+# The sphere layer imports numpy, which takes longer to load than the rest of
+# the engine together, and only realization uses it; its names load on first
+# use (PEP 562).
+_SPHERE_NAMES = frozenset({"BEConfig", "RealizedGraph", "be_graph", "graph_stats", "realize", "sample_sphere"})
+
+
+def __getattr__(name: str):
+    if name in _SPHERE_NAMES:
+        from . import sphere
+
+        return getattr(sphere, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

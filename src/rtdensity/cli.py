@@ -10,6 +10,7 @@ space, realization size, coeffs order or density output size.
 from __future__ import annotations
 
 import sys
+from typing import TYPE_CHECKING
 
 import click
 
@@ -18,7 +19,6 @@ from .optimize import audit_conjecture, rho
 from .partitions import assignment_to_dict, parts_total
 from .rationals import format_fraction, parse_fraction
 from .serialize import csv_text, dumps, exact_float, float15, table
-from .sphere import BEConfig, RealizationLimitError, graph_stats, realize
 from .verify import (
     BasisLimitError,
     NoFreeGraphError,
@@ -31,9 +31,31 @@ from .verify import (
 )
 from .weighted import GraphFormatError, graph_to_dict, load_graph
 
+if TYPE_CHECKING:
+    from .sphere import BEConfig, RealizationLimitError, graph_stats, realize
+
 FORMATS = click.Choice(["json", "csv", "text"])
 # part sizes density prints, partitions.parts_total(s, t); s = 5 admits t <= 3086
 DENSITY_SIZE_LIMIT = 10**6
+
+# The sphere layer imports numpy, which takes longer to load than every other
+# command needs, so only `realize` loads it. The benchmark tracer patches
+# `realize` and `graph_stats` here by name, so a name already bound is kept.
+_SPHERE_NAMES = ("BEConfig", "RealizationLimitError", "graph_stats", "realize")
+
+
+def _load_sphere() -> None:
+    from . import sphere
+
+    for name in _SPHERE_NAMES:
+        globals().setdefault(name, getattr(sphere, name))
+
+
+def __getattr__(name: str):
+    if name in _SPHERE_NAMES:
+        _load_sphere()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load(path: str):
@@ -345,6 +367,7 @@ def structure(graph_path, s, t, fmt):
 @click.option("--format", "fmt", type=FORMATS, default="json", show_default=True)
 def realize_cmd(graph_path, n_total, epsilon, h, seed, out_path, s, t, clique_budget, fmt):
     """Realize a weighted graph as a concrete sphere-point graph."""
+    _load_sphere()
     g = _load(graph_path)
     # opened before the work, so an unwritable path fails at once
     try:

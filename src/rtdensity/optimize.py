@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, comb, factorial, gcd
+from math import comb, factorial, gcd
 
 # The benchmark tracer patches class_poly, parts_density, spec_density,
 # optimize_spec and rho under their names in this module, so all five stay
@@ -189,12 +189,20 @@ def _refine(h: list[int], a: int, k: int) -> tuple[int, int, bool]:
 
 def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """The rational with the least denominator in [lo, hi], 0 < lo <= hi
-    (a walk down the Stern-Brocot tree by continued fractions)."""
-    n = ceil(lo)
-    if n <= hi:
-        return Fraction(n)
-    f = n - 1
-    return f + 1 / _simplest_between(1 / (hi - f), 1 / (lo - f))
+    (a walk down the Stern-Brocot tree by continued fractions).
+
+    Each step takes the common integer part f of lo = p/q and hi = r/u and
+    goes on with [1/(hi - f), 1/(lo - f)]; (h1 y + h0) / (k1 y + k0) maps the
+    current interval's point y back to the original one."""
+    p, q, r, u = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        n = -(-p // q)  # ceil(lo)
+        if n * u <= r:  # n <= hi
+            return Fraction(h1 * n + h0, k1 * n + k0)
+        f = n - 1
+        p, q, r, u = u, r - f * u, q, p - f * q
+        h0, h1, k0, k1 = h1, f * h1 + h0, k1, f * k1 + k0
 
 
 def _bernstein(spec: PartitionSpec) -> tuple[list[int], Fraction]:
@@ -229,22 +237,23 @@ def _bernstein_max(c: list[int]) -> Fraction:
     return Fraction(num, den)
 
 
-def bound_spec(spec: PartitionSpec) -> SpecOptimum:
+def bound_spec(spec: PartitionSpec, built: tuple[list[int], Fraction] | None = None) -> SpecOptimum:
     """An enclosure of one skeleton's supremum without root isolation.
 
     `certified` is the density at the uniform point and `upper` the
     Bernstein bound scale * max_j c_j / C(s, j). A single size class is
-    exact, as in `optimize_spec`.
+    exact, as in `optimize_spec`. `built` is the skeleton's `_bernstein`
+    (c, scale), if the caller has it.
     """
     if len(spec.classes) == 1:
         return optimize_spec(spec)
     (n_large, k_large), (n_small, k_small) = spec.classes
-    c, scale = _bernstein(spec)
+    c, scale = built or _bernstein(spec)
     uniform = Fraction(_hom_eval(c, n_large * k_large, n_small * k_small), spec.b**spec.s)
     return SpecOptimum(spec, uniform_assignment(spec), scale * uniform, scale * _bernstein_max(c))
 
 
-def optimize_spec(spec: PartitionSpec) -> SpecOptimum:
+def optimize_spec(spec: PartitionSpec, built: tuple[list[int], Fraction] | None = None) -> SpecOptimum:
     """Certified point and upper bound of the density over one skeleton.
 
     One size class forces the uniform assignment, and upper == certified.
@@ -252,7 +261,8 @@ def optimize_spec(spec: PartitionSpec) -> SpecOptimum:
     is the per-vertex weight of the larger class and S_L the number of its
     vertices; see the module docstring for the method. The returned
     assignment is always strictly positive: an endpoint limit that beats
-    every interior point raises `upper`, never `certified`.
+    every interior point raises `upper`, never `certified`. `built` is the
+    skeleton's `_bernstein` (c, scale), if the caller has it.
     """
     s = spec.s
     if len(spec.classes) == 1:
@@ -263,7 +273,7 @@ def optimize_spec(spec: PartitionSpec) -> SpecOptimum:
     (n_large, k_large), (n_small, k_small) = spec.classes
     sum_large = n_large * k_large
     sum_small = n_small * k_small
-    c, scale = _bernstein(spec)
+    c, scale = built or _bernstein(spec)
 
     # F in the power basis, by Horner in 1 - x: F_j = F_{j-1} (1 - x) + c_j x^j
     power = [c[0]]
@@ -347,13 +357,18 @@ def audit_conjecture(s: int, t: int) -> AuditReport:
     conjectured_b = max(s, t // 2)
     if not specs or specs[0].b != conjectured_b:
         raise RuntimeError(f"no admissible skeleton at the conjectured b={conjectured_b}")
-    optima = [optimize_spec(specs[0])] + [bound_spec(sp) for sp in specs[1:]]
+    # each two-class skeleton's (c, scale) is built once, for its bound and,
+    # if it survives, its full optimization
+    built = [_bernstein(sp) if len(sp.classes) == 2 else None for sp in specs]
+    optima = [optimize_spec(specs[0], built[0])] + [
+        bound_spec(sp, b) for sp, b in zip(specs[1:], built[1:])
+    ]
     best = max(o.certified for o in optima)
     for i in sorted(range(1, len(specs)), key=lambda i: optima[i].upper, reverse=True):
         if optima[i].upper < best:
             break
         if optima[i].upper > optima[i].certified:
-            optima[i] = optimize_spec(specs[i])
+            optima[i] = optimize_spec(specs[i], built[i])
             best = max(best, optima[i].certified)
     result = _result(s, t, optima)
     margin = result.density - optima[0].certified

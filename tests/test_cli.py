@@ -23,7 +23,7 @@ from rtdensity import (
 from rtdensity import cli
 from rtdensity.cli import DENSITY_SIZE_LIMIT, main
 from rtdensity.partitions import enumerate_specs
-from rtdensity.sphere import MAX_H, MAX_N
+from rtdensity.sphere import MAX_H, MAX_N, RealizationLimitError
 from rtdensity.verify import (
     BASIS_M_LIMIT,
     SEARCH_SPACE_LIMIT,
@@ -356,6 +356,18 @@ def test_realize_over_size_limits_refused_exit_3(runner, counterexample_file, tm
         result = runner.invoke(main, realize_args(counterexample_file, tmp_path / "e") + flags)
         assert result.exit_code == 3
         assert result.output.startswith("refused: ") and result.output.count("\n") == 1
+
+
+def test_realize_calls_the_patched_module_global(runner, counterexample_file, tmp_path, monkeypatch):
+    # the benchmark tracer patches cli.realize by name; loading the sphere
+    # layer on first use must not bind the original over the patch
+    def refuse(*args, **kwargs):
+        raise RealizationLimitError("stubbed")
+
+    monkeypatch.setattr(cli, "realize", refuse)
+    result = runner.invoke(main, realize_args(counterexample_file, tmp_path / "e"))
+    assert result.exit_code == 3
+    assert result.output == "refused: stubbed\n"
 
 
 def test_malformed_graph_exit_2_with_line(runner, tmp_path):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtdensity import (
@@ -16,7 +16,8 @@ from rtdensity import (
     spec_density,
     uniform_assignment,
 )
-from rtdensity.optimize import REFINE_BITS, _isolate, bound_spec
+from rtdensity import optimize
+from rtdensity.optimize import REFINE_BITS, _isolate, _simplest_between, bound_spec
 
 
 def test_optimize_single_class_uniform():
@@ -137,6 +138,44 @@ def test_bound_spec_encloses_the_optimum():
             assert bound.certified <= full.certified <= full.upper <= bound.upper
             if len(spec.classes) == 1:
                 assert bound == full
+
+
+def test_audit_builds_each_two_class_skeleton_once(monkeypatch):
+    # a skeleton that survives the bound reuses the (c, scale) of its bound
+    built = []
+    real = optimize._bernstein
+    monkeypatch.setattr(optimize, "_bernstein", lambda spec: built.append(spec) or real(spec))
+    for s, t in [(5, 10), (5, 11), (8, 20), (40, 80), (40, 81)]:
+        built.clear()
+        audit_conjecture(s, t)
+        two_class = [sp for sp in enumerate_specs(s, t) if len(sp.classes) == 2]
+        assert sorted(built, key=repr) == sorted(two_class, key=repr)
+
+
+def simplest_between_reference(lo, hi):
+    """The Fraction recursion that `_simplest_between` replaced."""
+    n = math.ceil(lo)
+    if n <= hi:
+        return F(n)
+    f = n - 1
+    return f + 1 / simplest_between_reference(1 / (hi - f), 1 / (lo - f))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    st.fractions(min_value=F(1, 2**70), max_value=10**4, max_denominator=2**70),
+    st.fractions(min_value=0, max_value=2, max_denominator=2**50),
+)
+@example(F(1, 3), F(0))
+@example(F(2), F(1, 2))
+@example(F(5, 2), F(1, 2))
+@example(F(1, 2**64), F(2, 2**64))
+@example(F(2**63 + 1, 2**64) - F(1, 2**40), F(2, 2**40))  # a snap as optimize_spec makes it
+def test_simplest_between_matches_fraction_recursion(lo, width):
+    hi = lo + width
+    got = _simplest_between(lo, hi)
+    assert got == simplest_between_reference(lo, hi)
+    assert lo <= got <= hi
 
 
 def test_balanced_density_values():
