@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import bits, max_clique, maximal_cliques
+from .graphs import bits, lex_cliques, max_clique, maximal_cliques
 from .weighted import HALF, WeightedGraph, threshold_subgraph
 
 # Exact lexicographic witness search is exponential; freeness-checked graphs
@@ -81,56 +81,20 @@ def max_weighted_clique_score(
 def _lex_min_witness(
     pos_adj: tuple[int, ...], half_adj: tuple[int, ...], t: int
 ) -> WeightedCliqueWitness | None:
-    """Lexicographically least (sorted S1, sorted S2) with score exactly t."""
+    """Lexicographically least (sorted S1, sorted S2) with score exactly t.
+
+    S2 <= S1 puts |S1| in [ceil(t/2), t - 1]; S2 is the first clique of the
+    t - |S1| vertices it needs among S1's edges above 1/2.
+    """
     n = len(pos_adj)
     if n > WITNESS_VERTEX_LIMIT:
         return None
-
-    def min_s2(s1: list[int], size: int) -> tuple[int, ...] | None:
-        # least clique of exactly `size` vertices in the half graph inside S1
-        chosen: list[int] = []
-
-        def rec(start: int) -> tuple[int, ...] | None:
-            if len(chosen) == size:
-                return tuple(chosen)
-            for idx in range(start, len(s1) - (size - len(chosen)) + 1):
-                v = s1[idx]
-                if all(half_adj[u] >> v & 1 for u in chosen):
-                    chosen.append(v)
-                    found = rec(idx + 1)
-                    if found is not None:
-                        return found
-                    chosen.pop()
-            return None
-
-        found = rec(0)
-        del rec  # break the closure's reference cycle
-        return found
-
-    s1: list[int] = []
-
-    def rec1(start: int) -> WeightedCliqueWitness | None:
-        k = len(s1)
-        if k >= 1:
-            need = t - k
-            if 1 <= need <= k:
-                s2 = min_s2(s1, need)
-                if s2 is not None:
-                    return WeightedCliqueWitness(tuple(s1), s2)
-        if k >= t - 1:
-            return None  # larger S1 would need |S2| < 1
-        for v in range(start, n):
-            if all(pos_adj[u] >> v & 1 for u in s1):
-                s1.append(v)
-                found = rec1(v + 1)
-                if found is not None:
-                    return found
-                s1.pop()
-        return None
-
-    found = rec1(0)
-    del rec1  # break the closure's reference cycle
-    return found
+    for s1 in lex_cliques(pos_adj, (1 << n) - 1, (t + 1) // 2, t - 1):
+        need = t - len(s1)  # the S2 walk yields nothing while need > |S1|
+        for s2 in lex_cliques(half_adj, sum(1 << v for v in s1), need, need):
+            if len(s2) == need:
+                return WeightedCliqueWitness(s1, s2)
+    return None
 
 
 def is_ckt_free(g: WeightedGraph, t: int) -> FreenessResult:

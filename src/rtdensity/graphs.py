@@ -164,6 +164,38 @@ def maximal_cliques(adj: Sequence[int], candidates: int | None = None) -> list[i
     return out
 
 
+def lex_cliques(adj: Sequence[int], pool: int, least: int, most: int) -> Iterator[tuple[int, ...]]:
+    """Cliques inside the vertex mask pool, in lexicographic preorder.
+
+    Yields, as sorted tuples, every clique of at most `most` vertices that
+    can still grow within pool to at least `least`: the empty clique first,
+    and each clique right after its parent. A clique whose size plus its
+    remaining candidates falls below `least` is pruned with its subtree.
+    """
+    if most < 0 or pool.bit_count() < least:
+        return
+    yield ()
+    clique: list[int] = []
+    rest = [pool]  # rest[d]: the candidates not yet tried as clique vertex d
+    while rest:
+        d = len(clique)
+        cand = rest[d]
+        # later children have fewer candidates: stop once too few remain
+        if not cand or d == most or d + cand.bit_count() < least:
+            rest.pop()
+            if clique:
+                clique.pop()
+            continue
+        low = cand & -cand
+        rest[d] = cand = cand ^ low
+        v = low.bit_length() - 1
+        below = cand & adj[v]
+        if d + 1 + below.bit_count() >= least:
+            clique.append(v)
+            rest.append(below)
+            yield tuple(clique)
+
+
 def greedy_independent_set(g: SimpleGraph) -> tuple[int, ...]:
     """Greedy independent set (min-remaining-degree rule); a lower-bound witness."""
     alive = (1 << g.n) - 1

@@ -88,15 +88,14 @@ class BruteForceResult:
 
 
 def _permutation_table(
-    n: int, perms: Iterable[tuple[int, ...]]
+    pairs: list[tuple[int, int]],
+    pair_index: dict[tuple[int, int], int],
+    perms: Iterable[tuple[int, ...]],
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(vertex permutation, induced map on pair indices) for each permutation.
 
-    Pairs (u, v), u < v, are indexed in row-major order; entry i of the pair
-    map is the index of the image of pair i.
+    Entry i of the pair map is the index of the image of pairs[i].
     """
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    pair_index = {pair: i for i, pair in enumerate(pairs)}
     return [
         (p, tuple(pair_index[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs))
         for p in perms
@@ -109,19 +108,6 @@ def _canonical(table, weights: tuple, edges: tuple) -> tuple[tuple, tuple]:
         (tuple(weights[v] for v in p), tuple(edges[i] for i in idx))
         for p, idx in table
     )
-
-
-def _graph_from_tuples(
-    n: int, weights: tuple[Fraction, ...], edges: tuple[Fraction, ...]
-) -> WeightedGraph:
-    triples = []
-    i = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if edges[i] != 0:
-                triples.append((u, v, edges[i]))
-            i += 1
-    return WeightedGraph.build(weights, triples)
 
 
 def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
@@ -165,7 +151,9 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
     # per composition, the weight product of every s-subset
     weight_products = [[prod(k[v] for v in sub) for sub in subsets] for k in compositions]
     dedup = n <= CANONICAL_MAX_N
-    table = _permutation_table(n, permutations(range(n)) if dedup else [tuple(range(n))])
+    table = _permutation_table(
+        pairs, pair_index, permutations(range(n)) if dedup else [tuple(range(n))]
+    )
     # an assignment's code is its base-V number, first pair most significant;
     # with the places of a permutation, the same sum gives the code of the image
     base = len(values)
@@ -212,8 +200,9 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
         {_canonical(table, compositions[i], edges) for edges, idxs in ties for i in idxs}
     )
     graphs = tuple(
-        _graph_from_tuples(
-            n, tuple(Fraction(k, d) for k in kw), tuple(values[c] for c in ec)
+        WeightedGraph.build(
+            [Fraction(k, d) for k in kw],
+            [(u, v, values[c]) for (u, v), c in zip(pairs, ec) if values[c]],
         )
         for kw, ec in canons
     )

@@ -11,10 +11,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Mapping, Sequence
+from math import factorial, prod
+from typing import Iterable, Mapping
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, lex_cliques
 from .rationals import RationalLike, as_fraction, format_fraction
 
 ZERO = Fraction(0)
@@ -187,55 +187,7 @@ def ks_density(g: WeightedGraph, s: int) -> Fraction:
     Equals h_density(g, K_s): repeated vertices vanish because every pair of
     K_s is an edge and the diagonal weighs 0.
     """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if s == 0:
-        return ONE
-    n = g.n
-    if s > n:
-        return ZERO
-    return Fraction(factorial(s)) * _subset_sum(g, s, list(range(n)))
-
-
-def _subset_sum(
-    g: WeightedGraph,
-    s: int,
-    pool: list[int],
-    prefix: Sequence[int] = (),
-    prefix_product: Fraction = ONE,
-) -> Fraction:
-    """Sum over s-sets made of the fixed prefix plus vertices of pool of
-    (product of vertex weights and all pair weights).
-
-    prefix_product is that product over the prefix alone.
-    """
-    total = ZERO
-    chosen = list(prefix)
-
-    def rec(start: int, product: Fraction) -> None:
-        nonlocal total
-        if len(chosen) == s:
-            total += product
-            return
-        # not enough vertices left to finish
-        for idx in range(start, len(pool) - (s - len(chosen)) + 1):
-            v = pool[idx]
-            p = product * g.vertex_weights[v]
-            if p == 0:
-                continue
-            for u in chosen:
-                p *= g.edge_weights[u][v]
-                if p == 0:
-                    break
-            if p == 0:
-                continue
-            chosen.append(v)
-            rec(idx + 1, p)
-            chosen.pop()
-
-    rec(0, prefix_product)
-    del rec  # break the closure's reference cycle
-    return total
+    return ks_density_with(g, s, (), "containing")
 
 
 def ks_density_with(
@@ -246,6 +198,11 @@ def ks_density_with(
     mode="containing": injections whose image includes S;
     mode="within":     image contained in S;
     mode="avoiding":   image disjoint from S.
+
+    The sum runs over the cliques of the nonzero-edge graph, the only s-sets
+    whose product of vertex and pair weights is nonzero: a fixed prefix (S
+    when containing) plus `lex_cliques` over a pool of nonzero-weight
+    vertices, each clique's product extended from its parent's.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
@@ -253,35 +210,33 @@ def ks_density_with(
     for v in members:
         if not (0 <= v < g.n):
             raise ValueError(f"subset vertex {v} out of range")
-    if mode == "within":
-        if s == 0:
-            return ONE
-        if s > len(members):
-            return ZERO
-        return Fraction(factorial(s)) * _subset_sum(g, s, members)
-    if mode == "avoiding":
-        rest = [v for v in range(g.n) if v not in set(members)]
-        if s == 0:
-            return ONE
-        if s > len(rest):
-            return ZERO
-        return Fraction(factorial(s)) * _subset_sum(g, s, rest)
-    if mode == "containing":
-        k = len(members)
-        if k > s:
-            return ZERO
-        if s == 0:
-            return ONE
-        base = ONE
-        for i, v in enumerate(members):
-            base *= g.vertex_weights[v]
-            for u in members[:i]:
-                base *= g.edge_weights[u][v]
-        if base == 0:
-            return ZERO
-        rest = [v for v in range(g.n) if v not in set(members)]
-        return Fraction(factorial(s)) * _subset_sum(g, s, rest, members, base)
-    raise ValueError(f"unknown mode {mode!r}")
+    in_s = sum(1 << v for v in members)
+    pool = {"within": in_s, "avoiding": ~in_s, "containing": ~in_s}.get(mode)
+    if pool is None:
+        raise ValueError(f"unknown mode {mode!r}")
+    prefix = members if mode == "containing" else []
+    vw, ew = g.vertex_weights, g.edge_weights
+    adj = [sum(1 << v for v, w in enumerate(row) if w) for row in ew]
+    pool &= sum(1 << v for v, w in enumerate(vw) if w)
+    need = s - len(prefix)
+    terms = [ONE] * (s + 1)  # terms[d]: the product over the prefix and d clique vertices
+    for i, v in enumerate(prefix):
+        pool &= adj[v]
+        terms[0] *= vw[v] * prod(ew[u][v] for u in prefix[:i])
+    # lead[v]: the factor v brings on its own, its weight times its prefix edges
+    lead = [prod((ew[u][v] for u in prefix), start=vw[v]) for v in range(g.n)]
+    total = ZERO
+    for clique in lex_cliques(adj, pool, need, need):
+        d = len(clique)
+        if d:
+            v = clique[-1]
+            term = terms[d - 1] * lead[v]
+            for u in clique[:-1]:
+                term *= ew[v][u]
+            terms[d] = term
+        if d == need:
+            total += terms[d]
+    return factorial(s) * total
 
 
 def merge_zero_edge(g: WeightedGraph, u: int, v: int, keep: int) -> WeightedGraph:

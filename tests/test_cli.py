@@ -370,6 +370,47 @@ def test_realize_calls_the_patched_module_global(runner, counterexample_file, tm
     assert result.output == "refused: stubbed\n"
 
 
+SEARCH = ["search", "--n", "3", "--s", "2", "--t", "4", "-d", "3"]
+REALIZE = ["realize", "--graph", "{k5}", "--N", "16", "--epsilon", "0.2", "--h", "16", "--out", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["audit", "--s", "5", "--t-min", "3", "--t-max", "4"],
+        ["check", "--graph", "{k5}", "--t", "1"],
+        ["check", "--graph", "{empty}", "--t", "3"],
+        ["coeffs", "--m", "0"],
+        [*SEARCH, "--n", "0"],
+        [*SEARCH, "-d", "0"],
+        [*SEARCH, "--alphabet", ""],
+        [*SEARCH, "--alphabet", "2"],
+        [*SEARCH, "--alphabet", "1/0"],
+        [*REALIZE, "--epsilon", "2"],
+        [*REALIZE, "--epsilon", "nan"],
+        [*REALIZE, "--h", "3"],
+        [*REALIZE, "--N", "-16"],
+        [*REALIZE, "--graph", "{invalid}"],
+    ],
+)
+def test_bad_input_exits_with_one_message(runner, tmp_path, k5_file, args):
+    # every subcommand: exit 2 or 3, no traceback, and one message line; a
+    # refusal prints one `refused:` line, a flag or input error click's usage
+    # block, whose one message line starts with `Error:`
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"vertices": [], "edges": []}')
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(dumps_graph(WeightedGraph.build([2, -1], {(0, 1): 1})))
+    argv = [a.format(k5=k5_file, empty=empty, invalid=invalid, out=tmp_path / "e") for a in args]
+    result = runner.invoke(main, argv)
+    assert result.exit_code in (2, 3), result.output
+    assert "Traceback" not in result.output
+    messages = [
+        line for line in result.output.splitlines() if line.lower().startswith(("refused:", "error:"))
+    ]
+    assert len(messages) == 1, result.output
+
+
 def test_malformed_graph_exit_2_with_line(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices": [{"id": 0,\n')

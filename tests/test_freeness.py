@@ -168,6 +168,32 @@ def test_trimmed_witness_is_valid_and_lex_least():
     assert trimmed.s1[:2] == (0, 1)
 
 
+def brute_force_trimmed(g: WeightedGraph, t: int):
+    """Least (S1, S2) of score exactly t over every valid pair, or None."""
+    pos = threshold_subgraph(g, 0)
+    half = threshold_subgraph(g, F(1, 2))
+    pairs = [
+        (s1, s2)
+        for size1 in range(1, t)
+        for s1 in combinations(range(g.n), size1)
+        if all(pos.has_edge(u, v) for u, v in combinations(s1, 2))
+        for s2 in combinations(s1, t - size1)
+        if all(half.has_edge(u, v) for u, v in combinations(s2, 2))
+    ]
+    return min(pairs, default=None)
+
+
+def test_trimmed_witness_matches_brute_force_minimum(rng):
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(1, 7))
+        for t in range(2, 2 * g.n + 2):
+            res = is_ckt_free(g, t)
+            want = brute_force_trimmed(g, t)
+            assert res.free == (want is None)
+            got = None if res.trimmed is None else (res.trimmed.s1, res.trimmed.s2)
+            assert got == want
+
+
 def test_domain_errors():
     g = uniform_triangle()
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from rtdensity.graphs import (
     greedy_independent_set,
     has_clique,
     independence_number,
+    lex_cliques,
     max_clique,
     maximal_cliques,
 )
@@ -93,6 +94,36 @@ def test_maximal_cliques_cover_all_edges():
                 assert a == b or (a & b) != a
 
 
+def test_lex_cliques_against_combinations():
+    # the walk yields exactly the cliques C inside pool with |C| <= most whose
+    # size plus candidates (pool vertices above max C joined to all of C)
+    # reaches least, in sorted-tuple order: lexicographic, parents first
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        g = SimpleGraph.from_edges(
+            n, [e for e in combinations(range(n), 2) if rng.random() < rng.choice([0.3, 0.6, 0.9])]
+        )
+        pool = rng.getrandbits(n) if rng.random() < 0.7 else (1 << n) - 1
+        least, most = rng.randint(-1, n + 1), rng.randint(-1, n + 1)
+        members = list(bits(pool))
+        want = []
+        for k in range(max(most, -1) + 1):
+            for c in combinations(members, k):
+                if not all(g.has_edge(u, v) for u, v in combinations(c, 2)):
+                    continue
+                cand = [w for w in members if w > max(c, default=-1) and all(g.has_edge(u, w) for u in c)]
+                if k + len(cand) >= least:
+                    want.append(c)
+        got = list(lex_cliques(g.adj, pool, least, most))
+        assert got == sorted(want)
+        assert all(len(c) <= most for c in got)
+        # nothing that can reach `least` is pruned
+        for c in combinations(members, max(least, 0)):
+            if max(least, 0) <= most and all(g.has_edge(u, v) for u, v in combinations(c, 2)):
+                assert c in got
+
+
 def test_independence_bounds():
     rng = random.Random(13)
     for _ in range(20):
@@ -122,6 +153,8 @@ def test_clique_searches_leave_no_reference_cycles():
         assert has_clique(g.adj, 4)
         assert gc.collect() == 0
         assert maximal_cliques(g.adj)
+        assert gc.collect() == 0
+        assert next(lex_cliques(g.adj, (1 << 30) - 1, 4, 4)) == ()
         assert gc.collect() == 0
     finally:
         gc.enable()
