@@ -25,11 +25,12 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError("empty rational string")
     num, sep, den = s.partition("/")
     try:
-        if sep:
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r}: {exc}") from None
+        p, q = int(num), int(den) if sep else 1
+    except ValueError:
+        raise ValueError(f"malformed rational {text!r}: not an integer or p/q") from None
+    if q == 0:
+        raise ValueError(f"malformed rational {text!r}: zero denominator")
+    return Fraction(p, q)
 
 
 def format_fraction(x: Fraction) -> str:

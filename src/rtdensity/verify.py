@@ -12,7 +12,6 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial, lcm, perm, prod
 from operator import mul
-from typing import Iterable
 
 from .freeness import score_from_masks
 from .partitions import parts_density, parts_graph, size_rule
@@ -25,7 +24,6 @@ SEARCH_SPACE_LIMIT = 10**8
 # with its list slot (67 B measured at n = 3, s = 3). At this limit they take
 # under 0.7 GiB; the orbit bytearray adds at most SEARCH_SPACE_LIMIT bytes.
 WEIGHT_CELL_LIMIT = 10**7
-CANONICAL_MAX_N = 6  # permutation canonicalization is factorial; keep it tiny
 BASIS_M_LIMIT = 200  # basis_coefficients: 1.5 s at m = 200, > 120 s at m = 600
 
 
@@ -83,31 +81,11 @@ def search_weight_cells(cfg: SearchConfig) -> int:
 class BruteForceResult:
     best: WeightedGraph
     density: Fraction
-    maximizers: tuple[WeightedGraph, ...]  # non-isomorphic optimum graphs
-    searched: int  # (edge assignment, weight composition) pairs evaluated
-
-
-def _permutation_table(
-    pairs: list[tuple[int, int]],
-    pair_index: dict[tuple[int, int], int],
-    perms: Iterable[tuple[int, ...]],
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(vertex permutation, induced map on pair indices) for each permutation.
-
-    Entry i of the pair map is the index of the image of pairs[i].
-    """
-    return [
-        (p, tuple(pair_index[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs))
-        for p in perms
-    ]
-
-
-def _canonical(table, weights: tuple, edges: tuple) -> tuple[tuple, tuple]:
-    """Least (weights, edges) key over the permutations of `table`."""
-    return min(
-        (tuple(weights[v] for v in p), tuple(edges[i] for i in idx))
-        for p, idx in table
-    )
+    # one optimum graph per isomorphism class for every n, least key first
+    maximizers: tuple[WeightedGraph, ...]
+    # (edge assignment, weight composition) pairs evaluated, one assignment
+    # per permutation orbit
+    searched: int
 
 
 def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
@@ -115,17 +93,27 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
 
     Vertex weights are positive multiples of 1/D summing to 1; edge weights
     come from the alphabet. The search runs on integer codes: each edge value
-    is its rank among the distinct alphabet values, and each weight tuple is
+    is its rank among the V distinct alphabet values, an edge assignment is
+    its base-V number (first pair most significant), and each weight tuple is
     its integer composition k of D. Freeness depends only on the edge
-    assignment, so it is checked once per assignment. For n <=
-    CANONICAL_MAX_N assignments are deduplicated up to vertex permutation:
-    the first assignment of each orbit is evaluated and every image of it
-    under the n! permutations is marked as seen. The density numerator of
-    composition k is sum over s-subsets of (edge product scaled by the lcm L
-    of the alphabet denominators) * (product of k_v), an exact integer; the
-    one Fraction s! * best / (L^C(s,2) * D^s) is formed at the end. Only the
-    assignments that tie the final optimum are canonicalized, and `best` is
-    the least canonical form among them.
+    assignment, so it is checked once per assignment.
+
+    With two or more distinct letters the search builds one table of the n!
+    vertex permutations; the space limit keeps n <= 7 (2^28 > 10^8), so the
+    table has at most 5040 entries. The first assignment of each orbit is
+    evaluated and the code of every image under the table is marked as seen.
+    Each tied maximizer is keyed by its least (permuted weights, image code)
+    over the same table, so `maximizers` holds one graph per isomorphism
+    class for every n. A one-letter alphabet has a single assignment and no
+    table: its ties are isomorphic exactly when their weight multisets agree,
+    so they are keyed by sorted weights. Searches with n >= 7 once evaluated
+    every labelled assignment and counted relabelled ties apart; their
+    `searched` and `maximizers` are now smaller.
+
+    The density numerator of composition k is sum over s-subsets of (edge
+    product scaled by the lcm L of the alphabet denominators) * (product of
+    k_v), an exact integer; the one Fraction s! * best / (L^C(s,2) * D^s) is
+    formed at the end. `best` is the maximizer with the least key.
     """
     size = search_space_size(cfg)
     if size > SEARCH_SPACE_LIMIT:
@@ -137,6 +125,7 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     pair_index = {pair: i for i, pair in enumerate(pairs)}
     values = sorted(set(cfg.edge_alphabet))
+    base = len(values)
     scale = lcm(*(w.denominator for w in values))
     scaled = [int(w * scale) for w in values]
     positive = [w > 0 for w in values]
@@ -150,27 +139,33 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
     subset_pairs = [[pair_index[pair] for pair in combinations(sub, 2)] for sub in subsets]
     # per composition, the weight product of every s-subset
     weight_products = [[prod(k[v] for v in sub) for sub in subsets] for k in compositions]
-    dedup = n <= CANONICAL_MAX_N
-    table = _permutation_table(
-        pairs, pair_index, permutations(range(n)) if dedup else [tuple(range(n))]
-    )
-    # an assignment's code is its base-V number, first pair most significant;
-    # with the places of a permutation, the same sum gives the code of the image
-    base = len(values)
     place = [base ** (len(pairs) - 1 - j) for j in range(len(pairs))]
-    image_places = [[place[idx.index(i)] for i in range(len(pairs))] for _, idx in table]
-    seen = bytearray(base ** len(pairs)) if dedup else None
-    rank = {w: c for c, w in enumerate(values)}
+    # per permutation p: its inverse, which reads the weights of the image,
+    # and the places that move the letter of pair (u, v) to (p[u], p[v])
+    table = [
+        (
+            tuple(sorted(range(n), key=p.__getitem__)),
+            [place[pair_index[min(p[u], p[v]), max(p[u], p[v])]] for u, v in pairs],
+        )
+        for p in (permutations(range(n)) if base > 1 else ())
+    ]
+    seen = bytearray(base ** len(pairs))
+
+    def least_image(k: tuple[int, ...], edges: tuple[int, ...]) -> tuple[tuple, int]:
+        if not table:
+            return tuple(sorted(k)), 0
+        return min(
+            (tuple(k[v] for v in inv), sum(map(mul, edges, places))) for inv, places in table
+        )
 
     best_value = None
     ties: list = []  # (edge codes, composition indices) reaching best_value
     classes = 0
-    for edges in product([rank[w] for w in cfg.edge_alphabet], repeat=len(pairs)):
-        if seen is not None:
-            if seen[sum(map(mul, edges, place))]:
-                continue
-            for places in image_places:
-                seen[sum(map(mul, edges, places))] = 1
+    for edges in product(range(base), repeat=len(pairs)):
+        if seen[sum(map(mul, edges, place))]:
+            continue
+        for _, places in table:
+            seen[sum(map(mul, edges, places))] = 1
         classes += 1
         # freeness is weight-independent
         pos_adj = [0] * n
@@ -196,15 +191,13 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
 
     if best_value is None:
         raise NoFreeGraphError("no t-free graph in the search space")
-    canons = sorted(
-        {_canonical(table, compositions[i], edges) for edges, idxs in ties for i in idxs}
-    )
+    keys = sorted({least_image(compositions[i], edges) for edges, idxs in ties for i in idxs})
     graphs = tuple(
         WeightedGraph.build(
             [Fraction(k, d) for k in kw],
-            [(u, v, values[c]) for (u, v), c in zip(pairs, ec) if values[c]],
+            [(u, v, w) for (u, v), pl in zip(pairs, place) if (w := values[code // pl % base])],
         )
-        for kw, ec in canons
+        for kw, code in keys
     )
     density = Fraction(factorial(s) * best_value, scale ** comb(s, 2) * d**s)
     return BruteForceResult(graphs[0], density, graphs, classes * len(compositions))

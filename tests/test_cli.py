@@ -371,6 +371,11 @@ def test_realize_calls_the_patched_module_global(runner, counterexample_file, tm
 
 
 SEARCH = ["search", "--n", "3", "--s", "2", "--t", "4", "-d", "3"]
+# a malformed letter names its one reason, not Python's exception text
+ALPHABET_MESSAGES = {
+    "1/0": "Error: malformed rational '1/0': zero denominator",
+    "abc": "Error: malformed rational 'abc': not an integer or p/q",
+}
 REALIZE = ["realize", "--graph", "{k5}", "--N", "16", "--epsilon", "0.2", "--h", "16", "--out", "{out}"]
 
 
@@ -391,6 +396,7 @@ REALIZE = ["realize", "--graph", "{k5}", "--N", "16", "--epsilon", "0.2", "--h",
         [*REALIZE, "--h", "3"],
         [*REALIZE, "--N", "-16"],
         [*REALIZE, "--graph", "{invalid}"],
+        [*SEARCH, "--alphabet", "abc"],
     ],
 )
 def test_bad_input_exits_with_one_message(runner, tmp_path, k5_file, args):
@@ -409,6 +415,8 @@ def test_bad_input_exits_with_one_message(runner, tmp_path, k5_file, args):
         line for line in result.output.splitlines() if line.lower().startswith(("refused:", "error:"))
     ]
     assert len(messages) == 1, result.output
+    if args[-1] in ALPHABET_MESSAGES:
+        assert messages == [ALPHABET_MESSAGES[args[-1]]]
 
 
 def test_malformed_graph_exit_2_with_line(runner, tmp_path):

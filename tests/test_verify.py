@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from math import factorial, prod
@@ -23,7 +24,6 @@ from rtdensity import (
     verify_two_part_decomposition,
 )
 from rtdensity.partitions import enumerate_specs
-from rtdensity import verify
 from rtdensity.verify import search_space_size
 
 
@@ -84,15 +84,13 @@ def test_brute_force_never_beats_rho():
 def _reference_search(cfg):
     """Every edge tuple and every composition in Fraction arithmetic.
 
-    Maximizers are keyed by their least image over the vertex permutations,
-    all of them when the search deduplicates (n <= CANONICAL_MAX_N) and the
-    identity otherwise. Returns (density, best, maximizers, searched), or
-    None when no edge tuple is t-free.
+    Edge tuples are deduplicated, and maximizers keyed, by their least image
+    over all vertex permutations. Returns (density, best, maximizers,
+    searched), or None when no edge tuple is t-free.
     """
     n, d, s, t = cfg.n, cfg.weight_denominator, cfg.s, cfg.t
     pairs = list(combinations(range(n), 2))
-    dedup = n <= verify.CANONICAL_MAX_N
-    perms = list(permutations(range(n))) if dedup else [tuple(range(n))]
+    perms = list(permutations(range(n)))
     compositions = [c for c in product(range(1, d + 1), repeat=n) if sum(c) == d]
 
     def least_image(weights, edge):
@@ -118,11 +116,10 @@ def _reference_search(cfg):
     best, keys, seen, searched = None, set(), set(), 0
     for edges in product(cfg.edge_alphabet, repeat=len(pairs)):
         edge = dict(zip(pairs, edges))
-        if dedup:
-            orbit_key = least_image((0,) * n, edge)
-            if orbit_key in seen:
-                continue
-            seen.add(orbit_key)
+        orbit_key = least_image((0,) * n, edge)
+        if orbit_key in seen:
+            continue
+        seen.add(orbit_key)
         searched += len(compositions)
         if score(edge) >= t:
             continue
@@ -153,23 +150,34 @@ def _reference_search(cfg):
 
 
 @pytest.mark.parametrize(
-    "n, d, alphabet, s, t, canonical_max_n",
+    "n, d, alphabet, s, t",
     [
-        (3, 6, (1, F(1, 3), 0), 3, 5, None),  # unsorted alphabet
-        (4, 8, (1, F(1, 3), 0), 3, 6, None),
-        (3, 5, (1, 1, F(1, 2), F(1, 2)), 3, 6, None),  # repeated letters
-        (4, 6, (F(1, 2), 1, 1), 3, 7, None),
-        (2, 4, (0, F(1, 2), 1), 4, 6, None),  # s > n: every free pair ties at 0
-        (4, 6, (0, F(1, 2), 1), 3, 7, None),  # ternary
-        (3, 6, (1, F(1, 3), 0), 3, 5, 2),  # no dedup
-        (4, 6, (1, 1, F(1, 2)), 3, 6, 3),  # no dedup, repeated letters
-        (2, 2, (F(1, 2), 1), 2, 2, None),  # no t-free graph
-        (3, 3, (1, 1), 3, 5, None),
+        (3, 6, (1, F(1, 3), 0), 3, 5),  # unsorted alphabet
+        (4, 8, (1, F(1, 3), 0), 3, 6),
+        (3, 5, (1, 1, F(1, 2), F(1, 2)), 3, 6),  # repeated letters
+        (4, 6, (F(1, 2), 1, 1), 3, 7),
+        (2, 4, (0, F(1, 2), 1), 4, 6),  # s > n: every free pair ties at 0
+        (4, 6, (0, F(1, 2), 1), 3, 7),  # ternary
+        (4, 6, (F(1, 2),), 3, 7),  # one letter: ties keyed by sorted weights
+        (4, 6, (1, 1, F(1, 2)), 3, 6),  # repeated letters
+        (2, 2, (F(1, 2), 1), 2, 2),  # no t-free graph
+        (3, 3, (1, 1), 3, 5),  # one distinct letter
+    ],
+    # the ids of the table that also had a canonicalization cutoff column
+    ids=[
+        "3-6-alphabet0-3-5-None",
+        "4-8-alphabet1-3-6-None",
+        "3-5-alphabet2-3-6-None",
+        "4-6-alphabet3-3-7-None",
+        "2-4-alphabet4-4-6-None",
+        "4-6-alphabet5-3-7-None",
+        "4-6-one-letter-3-7",
+        "4-6-alphabet7-3-6-3",
+        "2-2-alphabet8-2-2-None",
+        "3-3-alphabet9-3-5-None",
     ],
 )
-def test_brute_force_matches_reference(monkeypatch, n, d, alphabet, s, t, canonical_max_n):
-    if canonical_max_n is not None:
-        monkeypatch.setattr(verify, "CANONICAL_MAX_N", canonical_max_n)
+def test_brute_force_matches_reference(n, d, alphabet, s, t):
     cfg = SearchConfig(n, d, tuple(F(w) for w in alphabet), s, t)
     expected = _reference_search(cfg)
     if expected is None:
@@ -178,6 +186,39 @@ def test_brute_force_matches_reference(monkeypatch, n, d, alphabet, s, t, canoni
         return
     res = brute_force_extremal(cfg)
     assert (res.density, res.best, res.maximizers, res.searched) == expected
+
+
+@pytest.mark.parametrize("n, d, t, density", [(7, 8, 15, F(75, 128)), (8, 9, 17, F(154, 243))])
+def test_one_letter_ties_are_one_class(n, d, t, density):
+    # every composition with one 2 is the same graph up to relabelling
+    res = brute_force_extremal(SearchConfig(n, d, (F(1),), 3, t))
+    assert res.density == density
+    assert len(res.maximizers) == 1 and res.searched == n
+    assert res.best.vertex_weights == (F(1, d),) * (n - 1) + (F(2, d),)
+
+
+def test_brute_force_never_beats_rho_upper():
+    # every free configuration with n <= 4, or n = 5 and the binary alphabet,
+    # and a seeded sample of the (slower) n = 5 ternary ones
+    grid = [
+        (n, d, alphabet, s, t)
+        for n in range(2, 6)
+        for d in (n, n + 2)
+        for alphabet in (HALF_ONE, (F(0),) + HALF_ONE)
+        for s in range(2, n + 1)
+        for t in range(s + 2, 2 * n + 2)
+    ]
+    slow = [cfg for cfg in grid if cfg[0] == 5 and len(cfg[2]) == 3]
+    chosen = [cfg for cfg in grid if cfg not in slow] + random.Random(17).sample(slow, 8)
+    uppers = {}
+    for n, d, alphabet, s, t in chosen:
+        try:
+            res = brute_force_extremal(SearchConfig(n, d, alphabet, s, t))
+        except NoFreeGraphError:
+            continue
+        if (s, t) not in uppers:
+            uppers[s, t] = max(opt.upper for opt in rho(s, t).per_spec)
+        assert res.density <= uppers[s, t], (n, d, alphabet, s, t)
 
 
 def test_check_structure_examples():
