@@ -29,7 +29,7 @@ from .graphs import (
     has_clique,
     max_clique,
 )
-from .weighted import HALF, ONE, WeightedGraph, round_edges_up, validate
+from .weighted import HALF, ONE, EnumerationLimitError, WeightedGraph, round_edges_up, validate
 
 GUARD_BAND = 1e-9  # squared-distance slack around thresholds; inside it we resample
 _MAX_RESAMPLE = 100
@@ -43,7 +43,7 @@ MAX_H = 2048
 _SAMPLE_BLOCK = 1000  # K_s samples held at once: 8 * s bytes each
 
 
-class RealizationLimitError(RuntimeError):
+class RealizationLimitError(EnumerationLimitError):
     """The requested realization exceeds the documented N or h limit."""
 
 

@@ -16,7 +16,7 @@ from operator import mul
 from .freeness import score_from_masks
 from .partitions import parts_density, parts_graph, size_rule
 from .rationals import RationalLike, as_fraction, format_fraction
-from .weighted import HALF, ONE, ZERO, WeightedGraph, ks_density
+from .weighted import HALF, ONE, ZERO, EnumerationLimitError, WeightedGraph, ks_density
 
 SEARCH_SPACE_LIMIT = 10**8
 # The search stores every weight composition (n ints) and its weight product
@@ -27,7 +27,7 @@ WEIGHT_CELL_LIMIT = 10**7
 BASIS_M_LIMIT = 200  # basis_coefficients: 1.5 s at m = 200, > 120 s at m = 600
 
 
-class SearchSpaceError(RuntimeError):
+class SearchSpaceError(EnumerationLimitError):
     """The requested brute-force search exceeds the documented budget."""
 
     def __init__(self, size: int, limit: int = SEARCH_SPACE_LIMIT, unit: str = "states"):
@@ -35,7 +35,7 @@ class SearchSpaceError(RuntimeError):
         self.size = size
 
 
-class BasisLimitError(RuntimeError):
+class BasisLimitError(EnumerationLimitError):
     """basis_coefficients was asked for m above BASIS_M_LIMIT."""
 
 
@@ -104,9 +104,11 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
     evaluated and the code of every image under the table is marked as seen.
     Each tied maximizer is keyed by its least (permuted weights, image code)
     over the same table, so `maximizers` holds one graph per isomorphism
-    class for every n. A one-letter alphabet has a single assignment and no
-    table: its ties are isomorphic exactly when their weight multisets agree,
-    so they are keyed by sorted weights. Searches with n >= 7 once evaluated
+    class for every n. The least weights are the sorted composition, so only
+    the permutations that sort it are tried; they are listed once per tied
+    composition. A one-letter alphabet has a single assignment and no table:
+    its ties are isomorphic exactly when their weight multisets agree, so
+    they are keyed by sorted weights. Searches with n >= 7 once evaluated
     every labelled assignment and counted relabelled ties apart; their
     `searched` and `maximizers` are now smaller.
 
@@ -150,13 +152,15 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
         for p in (permutations(range(n)) if base > 1 else ())
     ]
     seen = bytearray(base ** len(pairs))
+    sorting: dict[tuple[int, ...], list] = {}
 
     def least_image(k: tuple[int, ...], edges: tuple[int, ...]) -> tuple[tuple, int]:
+        weights = tuple(sorted(k))
         if not table:
-            return tuple(sorted(k)), 0
-        return min(
-            (tuple(k[v] for v in inv), sum(map(mul, edges, places))) for inv, places in table
-        )
+            return weights, 0
+        if k not in sorting:
+            sorting[k] = [places for inv, places in table if tuple(k[v] for v in inv) == weights]
+        return weights, min(sum(map(mul, edges, places)) for places in sorting[k])
 
     best_value = None
     ties: list = []  # (edge codes, composition indices) reaching best_value

@@ -27,7 +27,14 @@ ALL_MAPS_LIMIT = 10**7
 
 
 class EnumerationLimitError(RuntimeError):
-    """Raised when an enumeration oracle would exceed its documented budget."""
+    """Raised before work that would exceed a documented budget.
+
+    `h_density` raises it above ALL_MAPS_LIMIT maps. Its subclasses refuse a
+    brute-force search space (`SearchSpaceError`), a basis order
+    (`BasisLimitError`) and a realization size (`RealizationLimitError`); the
+    CLI raises it for a density report over its output size. The CLI prints
+    every one as a single `refused:` line and exits 3.
+    """
 
 
 class GraphFormatError(ValueError):

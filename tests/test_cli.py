@@ -88,8 +88,9 @@ def test_density_byte_identical(runner):
     assert a.output == b.output
 
 
-# stdout sha256 of density and audit runs: the output contract across changes
-# to the engine. A deliberate output change must update these values.
+# stdout sha256 of every command but realize, whose floats come from LAPACK:
+# the output contract across changes to the engine and the report path. A
+# deliberate output change must update these values.
 GOLDEN_SHA256 = {
     "density --s 5 --t 11": "78bf30122674c0f3d7175b7a97f141572957290ab92ac08209e2e67051e33b20",
     "density --s 2 --t 9": "29fa15b8be745a5a6998e0eadd1cd747ca942b1bff27c3ce09fbc45254bd14f1",
@@ -97,12 +98,29 @@ GOLDEN_SHA256 = {
     "audit --s 5 --t-min 7 --t-max 30": "db96139142ce8de1310144df0775cfe319213727cca6f76d888b7cfb013377f8",
     "audit --s 40 --t-min 80 --t-max 81": "682247fc9b3febd37a5797e9bfa1739936860920583d46bab4499fa685fada39",
     "density --s 40 --t 81": "37415830d14127980ec15e0d3c8e28e938d15e03a69dc4d55a8bc517674e1f9e",
+    "audit --s 5 --t-min 7 --t-max 30 --format csv": "4c2281fec31e799099782ac2b04c8b4b2353697bba7cd24849704f9af1d01f45",
+    "audit --s 5 --t-min 7 --t-max 30 --format text": "cf591164db4e91c9c0237eac49cd7f9f3d54dcedbc49025ca60fd55b305a4faf",
+    "density --s 5 --t 11 --format csv": "23ea6933339c1ae34dbed9bb946f3ca6794efe938d790603ae7fe83265a8af5a",
+    "density --s 5 --t 11 --format text": "f104db2afd9d8ddaf8d988b23f1255b5cf595032dca98f968d73162181e492fb",
+    "check --graph {k5} --t 10 --format csv": "58a99b98cc63c0137aeada4fcbe5f3aa5c6cef94b5707b21c2ca7fad204281a4",
+    "check --graph {k5} --t 10 --format text": "70a52a03dd161ea9a5ef09f23518eabd5de4f8c80eddc18816f41dde8b46b0c8",
+    # free: the witness columns are empty
+    "check --graph {k5} --t 11 --format csv": "8e1dd3d6d297720299777e1dcb8e28d2d27a774fe734127a4dfa658b467bcbdc",
+    "check --graph {k5} --t 11 --format text": "80e5bd576b44aba3a84ef477e8f0ac1fc56ebb9019085a20b0178ec76cd795ac",
+    "search --n 5 --s 5 --t 11 -d 15 --format csv": "b26820def1e8bd1d17c4c3a63d1eb5093bf6493a3785747930426706fbfcf1ea",
+    "search --n 5 --s 5 --t 11 -d 15 --format text": "daafce59d20fdb1cb46d65ba6dc46bd83f674962e309a38d4cfe71abcd30da96",
+    "search --n 4 --s 4 --t 9 -d 12 --alphabet 0,1/2,1 --format csv": "5876f6619ff2b703638350a1e7950c333a311144296949a67243c7ae6dd6e4e7",
+    "search --n 4 --s 4 --t 9 -d 12 --alphabet 0,1/2,1 --format text": "46fb6af99ee8e0f23c00152a4abd96ff4d840b117a8bbc2d6a262f3b9f367fee",
+    "coeffs --m 6 --format csv": "b6b84e85f62975d76c7afd0b656936472d11308c596fbcf421caac50f3d82c6e",
+    "coeffs --m 6 --format text": "1a6005d3ff9abd6b46588cb81a4e3a63d4b024450892f98fdb3dfd60f804116b",
+    "structure --graph {r63} --s 5 --t 10 --format csv": "2fdb4fb62ae7983c7c2a86c48ff706a0fa409971333f9388bcd86b88d0764e1a",
+    "structure --graph {r63} --s 5 --t 10 --format text": "9c70d894cfeaae1e40f18bef72a73a5b9acab892dd9bc2544529103f817f445f",
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
-def test_output_matches_golden_sha256(runner, command):
-    result = runner.invoke(main, command.split())
+def test_output_matches_golden_sha256(runner, k5_file, counterexample_file, command):
+    result = runner.invoke(main, command.format(k5=k5_file, r63=counterexample_file).split())
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_SHA256[command]
 
@@ -397,12 +415,16 @@ REALIZE = ["realize", "--graph", "{k5}", "--N", "16", "--epsilon", "0.2", "--h",
         [*REALIZE, "--N", "-16"],
         [*REALIZE, "--graph", "{invalid}"],
         [*SEARCH, "--alphabet", "abc"],
+        ["density", "--s", "5", "--t", "3087"],
+        ["coeffs", "--m", "201"],
+        ["search", "--n", "9", "--s", "2", "--t", "4", "-d", "40"],
+        [*REALIZE, "--N", "5000"],
     ],
 )
 def test_bad_input_exits_with_one_message(runner, tmp_path, k5_file, args):
     # every subcommand: exit 2 or 3, no traceback, and one message line; a
-    # refusal prints one `refused:` line, a flag or input error click's usage
-    # block, whose one message line starts with `Error:`
+    # refusal prints one `refused:` line and exits 3, a flag or input error
+    # click's usage block, whose one message line starts with `Error:`
     empty = tmp_path / "empty.json"
     empty.write_text('{"vertices": [], "edges": []}')
     invalid = tmp_path / "invalid.json"
@@ -415,6 +437,7 @@ def test_bad_input_exits_with_one_message(runner, tmp_path, k5_file, args):
         line for line in result.output.splitlines() if line.lower().startswith(("refused:", "error:"))
     ]
     assert len(messages) == 1, result.output
+    assert (result.exit_code == 3) == messages[0].startswith("refused:"), result.output
     if args[-1] in ALPHABET_MESSAGES:
         assert messages == [ALPHABET_MESSAGES[args[-1]]]
 
