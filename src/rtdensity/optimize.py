@@ -75,6 +75,7 @@ class OptimizationResult:
     best_index: int
     density: Fraction
     ties: tuple[int, ...]  # indices whose certified density equals the max
+    upper: Fraction  # the largest per_spec upper, >= every skeleton's supremum
 
 
 @dataclass(frozen=True)
@@ -330,7 +331,8 @@ def _check_st(s: int, t: int) -> None:
 def _result(s: int, t: int, optima: list[SpecOptimum]) -> OptimizationResult:
     density = max(o.certified for o in optima)
     ties = tuple(i for i, o in enumerate(optima) if o.certified == density)
-    return OptimizationResult(s, t, tuple(optima), ties[0], density, ties)
+    upper = max(o.upper for o in optima)
+    return OptimizationResult(s, t, tuple(optima), ties[0], density, ties, upper)
 
 
 def rho(s: int, t: int) -> OptimizationResult:

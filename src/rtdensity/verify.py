@@ -19,10 +19,11 @@ from .rationals import RationalLike, as_fraction, format_fraction
 from .weighted import HALF, ONE, ZERO, EnumerationLimitError, WeightedGraph, ks_density
 
 SEARCH_SPACE_LIMIT = 10**8
-# The search stores every weight composition (n ints) and its weight product
-# for each s-subset: C(D-1, n-1) * (C(n, s) + n) ints, each at most ~70 bytes
-# with its list slot (67 B measured at n = 3, s = 3). At this limit they take
-# under 0.7 GiB; the orbit bytearray adds at most SEARCH_SPACE_LIMIT bytes.
+# The search stores every weight composition (a tuple of n ints) and, per
+# s-subset, its weight product in a packed field of a few bytes: C(D-1, n-1) *
+# (C(n, s) + n) cells. Peak RSS measured at this limit: 0.5 GiB at n = s = 3,
+# 0.7 GiB at n = s = 2 and 1.0 GiB at n = 3, s = 0, where every composition
+# ties; the orbit bytearray adds at most SEARCH_SPACE_LIMIT bytes.
 WEIGHT_CELL_LIMIT = 10**7
 BASIS_M_LIMIT = 200  # basis_coefficients: 1.5 s at m = 200, > 120 s at m = 600
 
@@ -88,6 +89,24 @@ class BruteForceResult:
     searched: int
 
 
+def _tile(value: int, width: int, m: int) -> int:
+    """m big-endian fields of `width` bytes that each hold `value`, as one int."""
+    return int.from_bytes(value.to_bytes(width, "big") * m, "big")
+
+
+def _guard_addends(best: int, width: int, m: int) -> tuple[int, int]:
+    """(reach, beat): for m fields of `width` bytes, each below 2^(8 width - 1),
+    the top bit of a field of packed + reach (+ beat) is set exactly when the
+    field is >= best (> best). No field's sum carries into the next one."""
+    reach = _tile((1 << 8 * width - 1) - best, width, m)
+    return reach, reach - _tile(1, width, m)
+
+
+def _unpack(packed: int, width: int, m: int):
+    """The m fields of `packed`, most significant first, as tuples of bytes."""
+    return zip(*[iter(packed.to_bytes(width * m, "big"))] * width)
+
+
 def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
     """Exact discrete maximizer of the K_s-density over t-free graphs.
 
@@ -116,6 +135,15 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
     product scaled by the lcm L of the alphabet denominators) * (product of
     k_v), an exact integer; the one Fraction s! * best / (L^C(s,2) * D^s) is
     formed at the end. `best` is the maximizer with the least key.
+
+    All m numerators of an orbit come from one sum (Kronecker substitution):
+    its edge products times one packed column per s-subset, which holds that
+    subset's weight products in m big-endian fields of w bytes, composition 0
+    first. w fits the largest edge product times Maclaurin's bound e_s(k) <=
+    C(n, s) (D/n)^s plus a spare top bit, so no field carries into the next
+    and two guard-bit tests find whether some field beats or reaches the best
+    so far. Only a new best unpacks the fields; tied compositions are read at
+    the end from the packed sums kept for the tying orbits.
     """
     size = search_space_size(cfg)
     if size > SEARCH_SPACE_LIMIT:
@@ -139,8 +167,15 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
     ]
     subsets = list(combinations(range(n), s))
     subset_pairs = [[pair_index[pair] for pair in combinations(sub, 2)] for sub in subsets]
-    # per composition, the weight product of every s-subset
-    weight_products = [[prod(k[v] for v in sub) for sub in subsets] for k in compositions]
+    m = len(compositions)
+    width = (max(scaled) ** comb(s, 2) * comb(n, s) * d**s // n**s).bit_length() // 8 + 1
+    guards = _tile(1 << 8 * width - 1, width, m)
+    columns = []  # per s-subset, its weight product for every composition, packed
+    for sub in subsets:
+        column = bytearray()  # grown in place: no list of m field objects
+        for k in compositions:
+            column += prod(k[v] for v in sub).to_bytes(width, "big")
+        columns.append(int.from_bytes(column, "big"))
     place = [base ** (len(pairs) - 1 - j) for j in range(len(pairs))]
     # per permutation p: its inverse, which reads the weights of the image,
     # and the places that move the letter of pair (u, v) to (p[u], p[v])
@@ -162,8 +197,9 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
             sorting[k] = [places for inv, places in table if tuple(k[v] for v in inv) == weights]
         return weights, min(sum(map(mul, edges, places)) for places in sorting[k])
 
-    best_value = None
-    ties: list = []  # (edge codes, composition indices) reaching best_value
+    best_value = -1
+    reach, beat = _guard_addends(best_value, width, m)
+    ties: list = []  # (edge codes, packed numerators) reaching best_value
     classes = 0
     for edges in product(range(base), repeat=len(pairs)):
         if seen[sum(map(mul, edges, place))]:
@@ -185,17 +221,19 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
         if score >= t:
             continue
         edge_products = [prod(scaled[edges[i]] for i in sp) for sp in subset_pairs]
-        numerators = [sum(map(mul, edge_products, w)) for w in weight_products]
-        top = max(numerators)
-        if best_value is None or top > best_value:
-            best_value = top
+        packed = sum(map(mul, edge_products, columns))
+        if (packed + beat) & guards:
+            best_value = int.from_bytes(bytes(max(_unpack(packed, width, m))), "big")
+            reach, beat = _guard_addends(best_value, width, m)
             ties = []
-        if top == best_value:
-            ties.append((edges, [i for i, x in enumerate(numerators) if x == top]))
+        if (packed + reach) & guards:
+            ties.append((edges, packed))
 
-    if best_value is None:
+    if not ties:
         raise NoFreeGraphError("no t-free graph in the search space")
-    keys = sorted({least_image(compositions[i], edges) for edges, idxs in ties for i in idxs})
+    top = tuple(best_value.to_bytes(width, "big"))
+    tied = ((i, edges) for edges, packed in ties for i, f in enumerate(_unpack(packed, width, m)) if f == top)
+    keys = sorted({least_image(compositions[i], edges) for i, edges in tied})
     graphs = tuple(
         WeightedGraph.build(
             [Fraction(k, d) for k in kw],

@@ -20,6 +20,8 @@ import rtdensity.cli
 assert "numpy" not in sys.modules, "import rtdensity.cli"
 rtdensity.cli.main.main(args=["density", "--s", "5", "--t", "11"], prog_name="rtdensity", standalone_mode=False)
 assert "numpy" not in sys.modules, "density --s 5 --t 11"
+rtdensity.cli.main.main(args=["search", "--n", "3", "--s", "3", "--t", "5", "-d", "3"], prog_name="rtdensity", standalone_mode=False)
+assert "numpy" not in sys.modules, "search --n 3 --s 3 --t 5 -d 3"
 from rtdensity import RealizedGraph, realize
 import rtdensity.sphere
 assert realize is rtdensity.sphere.realize and RealizedGraph is rtdensity.sphere.RealizedGraph
@@ -33,8 +35,11 @@ def test_numpy_loads_only_with_the_sphere_layer():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", PROGRAM], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    payload = json.loads(proc.stdout)
-    assert (payload["command"], payload["s"], payload["t"]) == ("density", 5, 11)
+    decoder = json.JSONDecoder()
+    density, end = decoder.raw_decode(proc.stdout)
+    search, _ = decoder.raw_decode(proc.stdout[end:].lstrip())
+    assert (density["command"], density["s"], density["t"]) == ("density", 5, 11)
+    assert (search["command"], search["n"], search["density"]["exact"]) == ("search", 3, "1/36")
 
 
 @pytest.mark.parametrize("module", [rtdensity, cli])

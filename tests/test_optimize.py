@@ -200,9 +200,11 @@ def test_periodicity_small_s3():
 
 def test_upper_close_to_certified():
     for s, t in [(5, 10), (5, 11)]:
-        for opt in rho(s, t).per_spec:
+        res = rho(s, t)
+        for opt in res.per_spec:
             assert opt.certified <= opt.upper
             assert opt.upper - opt.certified <= F(1, 10**12) * opt.upper
+        assert res.upper == max(opt.upper for opt in res.per_spec) >= res.density
 
 
 def _spec_with_b(s, t, b):

@@ -24,7 +24,7 @@ from rtdensity import (
     verify_two_part_decomposition,
 )
 from rtdensity.partitions import enumerate_specs
-from rtdensity.verify import search_space_size
+from rtdensity.verify import _guard_addends, _tile, _unpack, search_space_size
 
 
 HALF_ONE = (F(1, 2), F(1))
@@ -162,6 +162,10 @@ def _reference_search(cfg):
         (4, 6, (1, 1, F(1, 2)), 3, 6),  # repeated letters
         (2, 2, (F(1, 2), 1), 2, 2),  # no t-free graph
         (3, 3, (1, 1), 3, 5),  # one distinct letter
+        (4, 6, (F(1, 97), F(96, 97)), 3, 7),  # lcm 97: four-byte packed fields
+        (3, 4, (0, F(1, 2), 1), 0, 5),  # s = 0: every free orbit ties
+        (4, 6, (0, F(1, 2), 1), 1, 6),
+        (4, 7, (0, 1), 2, 5),  # a zero letter, s < n, four tied classes
     ],
     # the ids of the table that also had a canonicalization cutoff column
     ids=[
@@ -175,17 +179,54 @@ def _reference_search(cfg):
         "4-6-alphabet7-3-6-3",
         "2-2-alphabet8-2-2-None",
         "3-3-alphabet9-3-5-None",
+        "4-6-lcm97-3-7",
+        "3-4-s0-0-5",
+        "4-6-s1-1-6",
+        "4-7-zero-letter-2-5",
     ],
 )
 def test_brute_force_matches_reference(n, d, alphabet, s, t):
-    cfg = SearchConfig(n, d, tuple(F(w) for w in alphabet), s, t)
+    check_against_reference(SearchConfig(n, d, tuple(F(w) for w in alphabet), s, t))
+
+
+def check_against_reference(cfg):
     expected = _reference_search(cfg)
     if expected is None:
         with pytest.raises(NoFreeGraphError):
             brute_force_extremal(cfg)
         return
     res = brute_force_extremal(cfg)
-    assert (res.density, res.best, res.maximizers, res.searched) == expected
+    assert (res.density, res.best, res.maximizers, res.searched) == expected, cfg
+
+
+def test_brute_force_sweep_matches_reference():
+    rng = random.Random(20)
+    alphabets = [(F(1),), HALF_ONE, (F(0),) + HALF_ONE, (F(1, 3), F(2, 3))]
+    for n in range(1, 5):
+        for s in range(n + 2):
+            for alphabet in alphabets:
+                d, t = n + rng.randrange(3), rng.randrange(2, 2 * n + 2)
+                check_against_reference(SearchConfig(n, d, alphabet, s, t))
+
+
+@pytest.mark.parametrize("width, best", [(1, 0), (1, 5), (1, 127), (2, 255), (3, 2**20 + 7)])
+def test_guard_addends_compare_every_field(width, best):
+    guard = 1 << 8 * width - 1
+    values = [v for v in (0, best - 1, best, best + 1, guard - 1) if 0 <= v < guard]
+    m = len(values)
+    packed = int.from_bytes(b"".join(v.to_bytes(width, "big") for v in values), "big")
+    reach, beat = _guard_addends(best, width, m)
+    for addend, offset in ((reach, guard - best), (beat, guard - best - 1)):
+        # each field of the sum is its own: no carry crosses a field boundary
+        sums = [int.from_bytes(bytes(f), "big") for f in _unpack(packed + addend, width, m)]
+        assert sums == [v + offset for v in values]
+    alone_reach, alone_beat = _guard_addends(best, width, 1)
+    for v in values:
+        assert bool((v + alone_reach) & guard) == (v >= best)
+        assert bool((v + alone_beat) & guard) == (v > best)
+    guards = _tile(guard, width, m)
+    assert bool((packed + reach) & guards) == (max(values) >= best)
+    assert bool((packed + beat) & guards) == (max(values) > best)
 
 
 @pytest.mark.parametrize("n, d, t, density", [(7, 8, 15, F(75, 128)), (8, 9, 17, F(154, 243))])
@@ -217,7 +258,7 @@ def test_brute_force_never_beats_rho_upper():
         except NoFreeGraphError:
             continue
         if (s, t) not in uppers:
-            uppers[s, t] = max(opt.upper for opt in rho(s, t).per_spec)
+            uppers[s, t] = rho(s, t).upper
         assert res.density <= uppers[s, t], (n, d, alphabet, s, t)
 
 
