@@ -72,8 +72,8 @@ def search_space_size(cfg: SearchConfig) -> int:
 
 
 def search_weight_cells(cfg: SearchConfig) -> int:
-    """Integers the search stores for the weight compositions and their
-    per-subset weight products."""
+    """Cells the search stores: one composition tuple entry per vertex and one
+    packed weight-product field per s-subset, for every composition."""
     compositions = comb(cfg.weight_denominator - 1, cfg.n - 1)
     return compositions * (comb(cfg.n, cfg.s) + cfg.n)
 
@@ -139,11 +139,12 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
     All m numerators of an orbit come from one sum (Kronecker substitution):
     its edge products times one packed column per s-subset, which holds that
     subset's weight products in m big-endian fields of w bytes, composition 0
-    first. w fits the largest edge product times Maclaurin's bound e_s(k) <=
-    C(n, s) (D/n)^s plus a spare top bit, so no field carries into the next
-    and two guard-bit tests find whether some field beats or reaches the best
-    so far. Only a new best unpacks the fields; tied compositions are read at
-    the end from the packed sums kept for the tying orbits.
+    first. w fits max(1, largest edge product) (so bare column entries fit)
+    times Maclaurin's bound e_s(k) <= C(n, s) (D/n)^s plus a spare top bit:
+    no field carries into the next, and two guard-bit tests find whether some
+    field beats or reaches the best so far. Only a new best unpacks the
+    fields; tied compositions are read at the end from the packed sums kept
+    for the tying orbits.
     """
     size = search_space_size(cfg)
     if size > SEARCH_SPACE_LIMIT:
@@ -168,7 +169,7 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
     subsets = list(combinations(range(n), s))
     subset_pairs = [[pair_index[pair] for pair in combinations(sub, 2)] for sub in subsets]
     m = len(compositions)
-    width = (max(scaled) ** comb(s, 2) * comb(n, s) * d**s // n**s).bit_length() // 8 + 1
+    width = (max(max(scaled), 1) ** comb(s, 2) * comb(n, s) * d**s // n**s).bit_length() // 8 + 1
     guards = _tile(1 << 8 * width - 1, width, m)
     columns = []  # per s-subset, its weight product for every composition, packed
     for sub in subsets:

@@ -166,6 +166,8 @@ def _reference_search(cfg):
         (3, 4, (0, F(1, 2), 1), 0, 5),  # s = 0: every free orbit ties
         (4, 6, (0, F(1, 2), 1), 1, 6),
         (4, 7, (0, 1), 2, 5),  # a zero letter, s < n, four tied classes
+        (3, 20, (0,), 3, 5),  # all-zero alphabet: weight products above 255
+        (2, 32, (0, 0), 2, 5),
     ],
     # the ids of the table that also had a canonicalization cutoff column
     ids=[
@@ -183,6 +185,8 @@ def _reference_search(cfg):
         "3-4-s0-0-5",
         "4-6-s1-1-6",
         "4-7-zero-letter-2-5",
+        "3-20-all-zero-3-5",
+        "2-32-all-zero-2-5",
     ],
 )
 def test_brute_force_matches_reference(n, d, alphabet, s, t):
