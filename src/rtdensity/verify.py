@@ -139,12 +139,11 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
     All m numerators of an orbit come from one sum (Kronecker substitution):
     its edge products times one packed column per s-subset, which holds that
     subset's weight products in m big-endian fields of w bytes, composition 0
-    first. w fits max(1, largest edge product) (so bare column entries fit)
-    times Maclaurin's bound e_s(k) <= C(n, s) (D/n)^s plus a spare top bit:
-    no field carries into the next, and two guard-bit tests find whether some
-    field beats or reaches the best so far. Only a new best unpacks the
-    fields; tied compositions are read at the end from the packed sums kept
-    for the tying orbits.
+    first. w fits max(1, largest edge product) times Maclaurin's bound e_s(k)
+    <= C(n, s) (D/n)^s plus a spare top bit, so no field carries into the next
+    and two guard-bit tests find whether some field beats or reaches the best
+    so far. Only a new best unpacks the fields; tied compositions are read at
+    the end from the packed sums kept for the tying orbits.
     """
     size = search_space_size(cfg)
     if size > SEARCH_SPACE_LIMIT:
