@@ -315,7 +315,7 @@ def structure(graph_path, s, t):
 @click.option("--out", "out_path", type=str, required=True, help="Edge list output file.")
 @click.option("--s", "s", type=click.IntRange(min=0), default=2, show_default=True, help="Clique order for the density estimate.")
 @click.option("--t", "t", type=click.IntRange(min=1), default=None, help="Forbidden clique order to test (default: pair score + 1).")
-@click.option("--clique-budget", type=int, default=100, show_default=True)
+@click.option("--clique-budget", type=int, default=100, show_default=True, help="Vertex count up to which omega is searched to the end and alpha is computed exactly.")
 def realize_cmd(graph_path, n_total, epsilon, h, seed, out_path, s, t, clique_budget):
     """Realize a weighted graph as a concrete sphere-point graph."""
     _load_sphere()

@@ -22,13 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import (
-    SimpleGraph,
-    greedy_clique_cover,
-    greedy_independent_set,
-    has_clique,
-    max_clique,
-)
+from .graphs import SimpleGraph, greedy_clique_cover, greedy_independent_set, max_clique
 from .weighted import HALF, ONE, EnumerationLimitError, WeightedGraph, round_edges_up, validate
 
 GUARD_BAND = 1e-9  # squared-distance slack around thresholds; inside it we resample
@@ -37,7 +31,7 @@ _MAX_RESAMPLE = 100
 # temporaries) of a part holding all N vertices, plus 40 * h^2 for the QR in
 # random_rotation and 16 * N * h for the points: about 0.8 GiB at the limits.
 # graph_stats stays within the same budget: the N^2-byte boolean adjacency
-# matrix plus float32 row blocks of about 1 MiB for the greedy clique.
+# matrix and its bitmask view of about N^2 / 8 bytes.
 MAX_N = 4096
 MAX_H = 2048
 _SAMPLE_BLOCK = 1000  # K_s samples held at once: 8 * s bytes each
@@ -153,10 +147,8 @@ def _guard_hit(d2: np.ndarray, thr2: float) -> bool:
 @dataclass(frozen=True, eq=False)
 class RealizedGraph:
     part_sizes: tuple[int, ...]
-    offsets: tuple[int, ...]
     matrix: np.ndarray  # symmetric boolean adjacency matrix, empty diagonal
     provenance: tuple[tuple[str, ...], ...]  # per-pair rule, diag = within-part
-    config: BEConfig
     source: WeightedGraph  # edge weights already rounded up to halves
 
     @property
@@ -169,10 +161,7 @@ class RealizedGraph:
         return _bitmask_graph(self.matrix)
 
     def parts(self) -> list[range]:
-        return [
-            range(off, off + size)
-            for off, size in zip(self.offsets, self.part_sizes)
-        ]
+        return [range(end - size, end) for end, size in zip(accumulate(self.part_sizes), self.part_sizes)]
 
     def edge_rows(self) -> Iterator[str]:
         """The edge file, one chunk per row: header `N parts=[n1,...]`, then
@@ -224,8 +213,7 @@ def realize(r: WeightedGraph, n_total: int, cfg: BEConfig) -> RealizedGraph:
         raise ValueError("N must be at least the number of parts")
     rounded = round_edges_up(r)
     sizes = _part_sizes(rounded.vertex_weights, n_total)
-    offsets = [0, *accumulate(sizes)][:-1]
-    blocks = [slice(off, off + sz) for off, sz in zip(offsets, sizes)]
+    blocks = [slice(end - sz, end) for end, sz in zip(accumulate(sizes), sizes)]
     near_thr, cross_thr = _thresholds(cfg.mu)
     adj = np.zeros((n_total, n_total), dtype=bool)
 
@@ -262,7 +250,7 @@ def realize(r: WeightedGraph, n_total: int, cfg: BEConfig) -> RealizedGraph:
             _join_across(adj, blocks[i], blocks[j], d2, cross_thr)
 
     adj.flags.writeable = False  # the cached bitmask view must stay in step
-    return RealizedGraph(tuple(sizes), tuple(offsets), adj, provenance, cfg, rounded)
+    return RealizedGraph(tuple(sizes), adj, provenance, rounded)
 
 
 def _floyd_samples(rng: np.random.Generator, n: int, s: int, count: int) -> np.ndarray:
@@ -289,19 +277,20 @@ def graph_stats(
 ) -> dict:
     """Measured properties of a realized graph.
 
-    Clique and independence numbers are exact below the vertex budget and
-    greedy bounds above it (flagged). The K_t test is always exact. The
-    K_s-density estimate is the fraction of cliques among `samples` uniform
-    s-subsets of the vertices, drawn by Floyd's algorithm from a generator
-    seeded with (seed, 2).
+    One exact clique search answers both omega and the K_t test. Up to
+    `clique_budget` vertices it runs to the end; above it, it stops once it
+    has found a clique of at least t vertices, whose size is then a lower
+    bound on omega, flagged inexact. So omega is exact up to the budget and,
+    above it, exactly when the graph is K_t-free; the K_t test is always
+    exact. alpha is exact up to the budget; a greedy independent set and a
+    greedy clique cover bracket it at any size. The K_s-density estimate is
+    the fraction of cliques among `samples` uniform s-subsets of the
+    vertices, drawn by Floyd's algorithm from a generator seeded with
+    (seed, 2).
     """
     n, matrix, g = rg.n, rg.matrix, rg.graph
     exact = n <= clique_budget
-    if exact:
-        omega, _ = max_clique(g.adj)
-    else:
-        omega = _greedy_clique(matrix)
-    contains_kt = has_clique(g.adj, t)
+    omega, _ = max_clique(g.adj, stop_at=None if exact else t)
     ind_lower = len(greedy_independent_set(g))
     ind_upper = greedy_clique_cover(g)
     alpha_exact = None
@@ -343,8 +332,8 @@ def graph_stats(
     return {
         "n": n,
         "part_sizes": list(rg.part_sizes),
-        "omega": {"value": omega, "exact": exact},
-        "contains_kt": {"t": t, "value": bool(contains_kt), "exact": True},
+        "omega": {"value": omega, "exact": exact or omega < t},
+        "contains_kt": {"t": t, "value": omega >= t, "exact": True},
         "alpha": {
             "exact": alpha_exact,
             "greedy_lower": ind_lower,
@@ -357,27 +346,3 @@ def graph_stats(
             "estimate": hits / samples if samples else 0.0,
         },
     }
-
-
-def _greedy_clique(matrix: np.ndarray) -> int:
-    """Largest greedy clique grown from each of the 40 highest-degree vertices.
-
-    A clique grows by the candidate with the most neighbours among the
-    remaining candidates, the lowest index on ties. All starts grow at once:
-    one float32 product per step counts those neighbours exactly (n < 2^24).
-    The product runs on row blocks of about 1 MiB: a whole float32 copy of
-    the matrix was measured to raise a realize pass's peak memory.
-    """
-    n = len(matrix)
-    rows = 2**18 // max(n, 1) + 1
-    starts = np.argsort(-matrix.sum(axis=1), kind="stable")[:40]
-    cand = matrix[:, starts].astype(np.float32)  # column j: 0/1 candidates of start j
-    size = np.ones(len(starts), dtype=np.int64)
-    while cand.any():
-        counts = np.concatenate(
-            [matrix[r : r + rows].astype(np.float32) @ cand for r in range(0, n, rows)]
-        )
-        counts[cand == 0] = -1
-        size += cand.any(axis=0)
-        cand *= matrix[:, counts.argmax(axis=0)]
-    return int(size.max(initial=0))

@@ -127,9 +127,7 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
     the permutations that sort it are tried; they are listed once per tied
     composition. A one-letter alphabet has a single assignment and no table:
     its ties are isomorphic exactly when their weight multisets agree, so
-    they are keyed by sorted weights. Searches with n >= 7 once evaluated
-    every labelled assignment and counted relabelled ties apart; their
-    `searched` and `maximizers` are now smaller.
+    they are keyed by sorted weights.
 
     The density numerator of composition k is sum over s-subsets of (edge
     product scaled by the lcm L of the alphabet denominators) * (product of

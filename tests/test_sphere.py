@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rtdensity import WeightedGraph, complete_balanced, dumps_graph
+from rtdensity import WeightedGraph, complete_balanced, dumps_graph, sphere
 from rtdensity.cli import main
-from rtdensity.graphs import SimpleGraph, has_clique
+from rtdensity.graphs import SimpleGraph, clique_number, has_clique, max_clique
 from rtdensity.sphere import (
     _SAMPLE_BLOCK,
     BEConfig,
     _floyd_samples,
-    _greedy_clique,
     _sq_dists,
     be_graph,
     graph_stats,
@@ -314,43 +313,19 @@ def test_floyd_samples_uniform():
     assert np.all(np.abs(counts - 10_000) <= 300), counts
 
 
-def reference_greedy_clique(g):
-    """The per-start greedy clique on bitmasks, one start at a time."""
-    best = 0
-    order = sorted(range(g.n), key=lambda v: -g.adj[v].bit_count())
-    for start in order[: min(g.n, 40)]:
-        mask = 1 << start
-        cand = g.adj[start]
-        while cand:
-            pick = -1
-            pick_deg = -1
-            m = cand
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                deg = (g.adj[v] & cand).bit_count()
-                if deg > pick_deg:
-                    pick, pick_deg = v, deg
-            mask |= 1 << pick
-            cand &= g.adj[pick]
-        best = max(best, mask.bit_count())
-    return best
-
-
-def test_greedy_clique_matches_bitmask_loop():
-    rng = random.Random(3)
-    edge_lists = [(20, []), (9, list(combinations(range(9), 2)))]
-    for n in range(1, 151):
-        p = (0.1, 0.3, 0.5, 0.7, 0.9)[n % 5]
-        edge_lists.append((n, [e for e in combinations(range(n), 2) if rng.random() < p]))
-    cases = [(edge_matrix(n, edges), SimpleGraph.from_edges(n, edges)) for n, edges in edge_lists]
-    for n_total in (101, 300, 1200):
-        for seed in (0, 1, 2):
-            rg = realize(counterexample_graph(), n_total, BEConfig(0.2, 16, seed=seed))
-            cases.append((rg.matrix, rg.graph))
-    for matrix, g in cases:
-        assert _greedy_clique(matrix) == reference_greedy_clique(g)
+def test_graph_stats_above_budget_runs_one_clique_search(monkeypatch):
+    # above the budget the search stops at t: it finishes on a K_t-free graph
+    calls = []
+    monkeypatch.setattr(sphere, "max_clique", lambda *a, **k: calls.append(k) or max_clique(*a, **k))
+    for n_total in (300, 1200):
+        rg = realize(counterexample_graph(), n_total, BEConfig(0.2, 16, seed=1))
+        stats = graph_stats(rg, 5, 10, clique_budget=0, samples=0)
+        assert stats["omega"] == {"value": clique_number(rg.graph), "exact": True}
+        assert stats["contains_kt"]["value"] is False
+        stats = graph_stats(rg, 5, 3, clique_budget=0, samples=0)
+        assert stats["contains_kt"]["value"] is True
+        assert stats["omega"]["exact"] is False and stats["omega"]["value"] >= 3
+    assert calls == [{"stop_at": 10}, {"stop_at": 3}] * 2
 
 
 def test_pair_densities_match_has_edge_counts():
