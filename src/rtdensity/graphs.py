@@ -58,6 +58,28 @@ class SimpleGraph:
         )
 
 
+def color_order(adj: Sequence[int], p: int) -> list[tuple[int, int]]:
+    """Sequential greedy colouring of the vertex mask p: (vertex, colour) pairs.
+
+    Colour c takes, in index order, every vertex left by colours below c that
+    has no neighbour already in c, so each class is independent and a clique
+    inside p has at most max-colour vertices.
+    """
+    order: list[tuple[int, int]] = []
+    color = 0
+    rest = p
+    while rest:
+        color += 1
+        avail = rest
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            avail &= ~adj[v] & ~low
+            rest ^= low
+            order.append((v, color))
+    return order
+
+
 def max_clique(
     adj: Sequence[int],
     candidates: int | None = None,
@@ -76,29 +98,13 @@ def max_clique(
     best_size = 0
     best_mask = 0
 
-    def color_order(p: int) -> list[tuple[int, int]]:
-        # Greedy colouring; a clique inside p has at most max-colour vertices.
-        order: list[tuple[int, int]] = []
-        color = 0
-        rest = p
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                avail &= ~adj[v] & ~low
-                rest ^= low
-                order.append((v, color))
-        return order
-
     def expand(r_mask: int, r_size: int, p: int) -> None:
         nonlocal best_size, best_mask
         if p == 0:
             if r_size > best_size:
                 best_size, best_mask = r_size, r_mask
             return
-        order = color_order(p)
+        order = color_order(adj, p)
         for v, bound in reversed(order):
             if stop_at is not None and best_size >= stop_at:
                 return
@@ -119,27 +125,20 @@ def clique_number(g: SimpleGraph) -> int:
     Practical up to n of about 64 at full density; much larger sparse
     graphs are fine because of the colouring bound.
     """
-    if g.n == 0:
-        return 0
     return max_clique(g.adj)[0]
 
 
 def has_clique(adj: Sequence[int], k: int, candidates: int | None = None) -> bool:
     """Exact test for a clique of size k inside the candidate mask."""
-    if k <= 0:
-        return True
     size, _ = max_clique(adj, candidates, stop_at=k)
     return size >= k
 
 
-def maximal_cliques(adj: Sequence[int], candidates: int | None = None) -> list[int]:
+def maximal_cliques(adj: Sequence[int]) -> list[int]:
     """All maximal cliques (as vertex masks), Bron-Kerbosch with pivoting.
 
     Output order is deterministic (depth-first, ascending vertex index).
     """
-    n = len(adj)
-    if candidates is None:
-        candidates = (1 << n) - 1
     out: list[int] = []
 
     def bk(r: int, p: int, x: int) -> None:
@@ -159,7 +158,7 @@ def maximal_cliques(adj: Sequence[int], candidates: int | None = None) -> list[i
             p &= ~vbit
             x |= vbit
 
-    bk(0, candidates, 0)
+    bk(0, (1 << len(adj)) - 1, 0)
     del bk  # break the closure's reference cycle
     return out
 
@@ -214,18 +213,13 @@ def greedy_independent_set(g: SimpleGraph) -> tuple[int, ...]:
 
 
 def greedy_clique_cover(g: SimpleGraph) -> int:
-    """Greedy partition of the vertices into cliques; its size bounds alpha above."""
-    cliques: list[tuple[int, int]] = []  # (mask, common neighbourhood mask)
-    for v in range(g.n):
-        placed = False
-        for i, (mask, common) in enumerate(cliques):
-            if common >> v & 1:
-                cliques[i] = (mask | 1 << v, common & g.adj[v])
-                placed = True
-                break
-        if not placed:
-            cliques.append((1 << v, g.adj[v]))
-    return len(cliques)
+    """Greedy partition of the vertices into cliques; its size bounds alpha above.
+
+    The cliques are the colour classes of the complement under color_order,
+    the same partition as first-fit over the vertices in index order.
+    """
+    order = color_order(g.complement().adj, (1 << g.n) - 1)
+    return order[-1][1] if order else 0
 
 
 def independence_number(g: SimpleGraph) -> int:

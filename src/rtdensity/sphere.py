@@ -31,7 +31,8 @@ _MAX_RESAMPLE = 100
 # temporaries) of a part holding all N vertices, plus 40 * h^2 for the QR in
 # random_rotation and 16 * N * h for the points: about 0.8 GiB at the limits.
 # graph_stats stays within the same budget: the N^2-byte boolean adjacency
-# matrix and its bitmask view of about N^2 / 8 bytes.
+# matrix and its bitmask view of about N^2 / 8 bytes, plus the complement's
+# rows, another N^2 / 8 bytes, while the greedy clique cover runs.
 MAX_N = 4096
 MAX_H = 2048
 _SAMPLE_BLOCK = 1000  # K_s samples held at once: 8 * s bytes each
@@ -283,10 +284,10 @@ def graph_stats(
     bound on omega, flagged inexact. So omega is exact up to the budget and,
     above it, exactly when the graph is K_t-free; the K_t test is always
     exact. alpha is exact up to the budget; a greedy independent set and a
-    greedy clique cover bracket it at any size. The K_s-density estimate is
-    the fraction of cliques among `samples` uniform s-subsets of the
-    vertices, drawn by Floyd's algorithm from a generator seeded with
-    (seed, 2).
+    greedy clique cover (the colour classes of the complement) bracket it
+    at any size. The K_s-density estimate is the fraction of cliques among
+    `samples` uniform s-subsets of the vertices, drawn by Floyd's algorithm
+    from a generator seeded with (seed, 2).
     """
     n, matrix, g = rg.n, rg.matrix, rg.graph
     exact = n <= clique_budget

@@ -191,9 +191,11 @@ def brute_force_extremal(cfg: SearchConfig) -> BruteForceResult:
         weights = tuple(sorted(k))
         if not table:
             return weights, 0
-        if k not in sorting:
-            sorting[k] = [places for inv, places in table if tuple(k[v] for v in inv) == weights]
-        return weights, min(sum(map(mul, edges, places)) for places in sorting[k])
+        # a permutation sorts k exactly when it sorts k's rank pattern
+        ranks = tuple(map(weights.index, k))
+        if ranks not in sorting:
+            sorting[ranks] = [places for inv, places in table if tuple(k[v] for v in inv) == weights]
+        return weights, min(sum(map(mul, edges, places)) for places in sorting[ranks])
 
     best_value = -1
     reach, beat = _guard_addends(best_value, width, m)

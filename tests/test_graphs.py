@@ -1,13 +1,16 @@
 import gc
 import random
+from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
+from rtdensity import WeightedGraph
 from rtdensity.graphs import (
     SimpleGraph,
     bits,
     clique_number,
+    color_order,
     greedy_clique_cover,
     greedy_independent_set,
     has_clique,
@@ -16,6 +19,7 @@ from rtdensity.graphs import (
     max_clique,
     maximal_cliques,
 )
+from rtdensity.sphere import BEConfig, realize
 
 
 def brute_clique_number(g: SimpleGraph) -> int:
@@ -124,16 +128,51 @@ def test_lex_cliques_against_combinations():
                 assert c in got
 
 
+def first_fit(g: SimpleGraph) -> int:
+    """Reference clique cover: each vertex joins the first clique it fits."""
+    cliques: list[tuple[int, int]] = []  # (mask, common neighbourhood mask)
+    for v in range(g.n):
+        for i, (mask, common) in enumerate(cliques):
+            if common >> v & 1:
+                cliques[i] = (mask | 1 << v, common & g.adj[v])
+                break
+        else:
+            cliques.append((1 << v, g.adj[v]))
+    return len(cliques)
+
+
+def assert_color_order_invariants(adj, p):
+    order = color_order(adj, p)
+    assert sorted(v for v, _ in order) == list(bits(p))
+    colors = [c for _, c in order]
+    assert colors == sorted(colors) and set(colors) == set(range(1, max(colors, default=0) + 1))
+    for c in set(colors):
+        members = [v for v, cv in order if cv == c]
+        assert all(not adj[u] >> v & 1 for u, v in combinations(members, 2))
+
+
 def test_independence_bounds():
     rng = random.Random(13)
-    for _ in range(20):
-        n = rng.randint(2, 9)
-        edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
-        ]
-        g = SimpleGraph.from_edges(n, edges)
-        alpha = independence_number(g)
-        assert len(greedy_independent_set(g)) <= alpha <= greedy_clique_cover(g)
+    for density in (0.1, 0.4, 0.8):
+        for _ in range(20):
+            n = rng.randint(0, 40)
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+            ]
+            g = SimpleGraph.from_edges(n, edges)
+            cover = greedy_clique_cover(g)
+            assert cover == first_fit(g)
+            assert len(greedy_independent_set(g)) <= independence_number(g) <= cover
+            assert_color_order_invariants(g.adj, (1 << n) - 1)
+            assert_color_order_invariants(g.adj, rng.getrandbits(n))
+            assert_color_order_invariants(g.complement().adj, (1 << n) - 1)
+    # a realization of the s = 5, t = 10 graph: six parts of 1/6, three half pairs
+    edges = {(u, v): F(1) for u, v in combinations(range(6), 2)}
+    for pair in [(0, 1), (2, 3), (4, 5)]:
+        edges[pair] = F(1, 2)
+    g = realize(WeightedGraph.build([F(1, 6)] * 6, edges), 300, BEConfig(0.2, 16, seed=7)).graph
+    assert greedy_clique_cover(g) == first_fit(g)
+    assert len(greedy_independent_set(g)) <= greedy_clique_cover(g)
 
 
 def test_from_edges_rejects_bad_input():
