@@ -148,10 +148,9 @@ def _cells(entry: dict, header: list[str]) -> list:
 @click.option("--t", "t", type=int, required=True, help="Forbidden clique parameter.")
 def density(s, t):
     """Maximize the K_s-density over admissible partition skeletons."""
-    if 2 <= s <= t - 2:
-        sizes = parts_total(s, t)
-        if sizes > DENSITY_SIZE_LIMIT:
-            raise EnumerationLimitError(f"{sizes} part sizes to print exceed the limit of {DENSITY_SIZE_LIMIT}")
+    sizes = parts_total(s, t)
+    if sizes > DENSITY_SIZE_LIMIT:
+        raise EnumerationLimitError(f"{sizes} part sizes to print exceed the limit of {DENSITY_SIZE_LIMIT}")
     result = rho(s, t)
     per_spec = [
         {

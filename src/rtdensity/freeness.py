@@ -76,7 +76,7 @@ def max_weighted_clique_score(
 ) -> tuple[int, WeightedCliqueWitness]:
     """Maximum achievable pair score with a deterministic maximizing witness."""
     if g.n == 0:
-        raise ValueError("score is undefined on the empty graph")
+        raise ValueError("score and freeness are undefined on the empty graph")
     pos_adj, half_adj = _threshold_adj(g)
     return score_from_masks(pos_adj, half_adj)
 
@@ -108,11 +108,8 @@ def is_ckt_free(g: WeightedGraph, t: int) -> FreenessResult:
     """
     if t < 2:
         raise ValueError("t must be at least 2")
-    if g.n == 0:
-        raise ValueError("freeness is undefined on the empty graph")
-    pos_adj, half_adj = _threshold_adj(g)
-    score, witness = score_from_masks(pos_adj, half_adj)
+    score, witness = max_weighted_clique_score(g)
     if score < t:
         return FreenessResult(True, score, None, None)
-    trimmed = _lex_min_witness(pos_adj, half_adj, t)
+    trimmed = _lex_min_witness(*_threshold_adj(g), t)
     return FreenessResult(False, score, witness, trimmed)

@@ -323,11 +323,6 @@ def optimize_spec(spec: PartitionSpec, built: tuple[list[int], Fraction] | None 
     return SpecOptimum(spec, weights, scale * best_f, scale * upper)
 
 
-def _check_st(s: int, t: int) -> None:
-    if not (2 <= s <= t - 2):
-        raise ValueError("need 2 <= s <= t - 2")
-
-
 def _result(s: int, t: int, optima: list[SpecOptimum]) -> OptimizationResult:
     density = max(o.certified for o in optima)
     ties = tuple(i for i, o in enumerate(optima) if o.certified == density)
@@ -337,7 +332,6 @@ def _result(s: int, t: int, optima: list[SpecOptimum]) -> OptimizationResult:
 
 def rho(s: int, t: int) -> OptimizationResult:
     """Maximize the certified density over every admissible skeleton."""
-    _check_st(s, t)
     return _result(s, t, [optimize_spec(sp) for sp in enumerate_specs(s, t)])
 
 
@@ -353,12 +347,13 @@ def audit_conjecture(s: int, t: int) -> AuditReport:
     be neither the winner nor a tie, so `result` has the density, winner
     and ties of `rho(s, t)`, and each of its entries is still a valid
     enclosure.
+
+    The conjectured b always passes `size_rule`, so it is `specs[0]`: with
+    a = t - 1 - b, either a = 1 and b = t - 2 = s, or a >= 2 and the
+    largest part ceil(b/a) <= max(ceil(s/2), 2) <= s - 1.
     """
-    _check_st(s, t)
     specs = enumerate_specs(s, t)
     conjectured_b = max(s, t // 2)
-    if not specs or specs[0].b != conjectured_b:
-        raise RuntimeError(f"no admissible skeleton at the conjectured b={conjectured_b}")
     # each two-class skeleton's (c, scale) is built once, for its bound and,
     # if it survives, its full optimization
     built = [_bernstein(sp) if len(sp.classes) == 2 else None for sp in specs]

@@ -48,6 +48,13 @@ def size_rule(s: int, a: int, largest: int) -> bool:
     return a >= 1 and (s <= 2 or (largest == s if a == 1 else largest <= s - 1))
 
 
+def _check_st(s: int, t: int) -> None:
+    if s < 2:
+        raise ValueError("s must be at least 2")
+    if t < s + 2:
+        raise ValueError(f"t must be at least s+2 = {s + 2}")
+
+
 def enumerate_specs(s: int, t: int) -> list[PartitionSpec]:
     """All admissible (b, a) skeletons for (s, t), ordered by increasing b.
 
@@ -55,10 +62,7 @@ def enumerate_specs(s: int, t: int) -> list[PartitionSpec]:
     equal as possible, and `size_rule` filters them. Each skeleton is O(1):
     its classes come from divmod(b, a).
     """
-    if s < 2:
-        raise ValueError("s must be at least 2")
-    if t < s + 2:
-        raise ValueError(f"t must be at least s+2 = {s + 2}")
+    _check_st(s, t)
     specs: list[PartitionSpec] = []
     b_min = max(s, t // 2)  # t//2 == ceil((t-1)/2)
     for b in range(b_min, t - 1):
@@ -77,10 +81,7 @@ def parts_total(s: int, t: int) -> int:
     admits a >= 2 parts exactly when b <= (t - 1)(s - 1) / s, and a = 1 only
     when b = t - 2 = s; a = t - 1 - b falls by one per step of b.
     """
-    if s < 2:
-        raise ValueError("s must be at least 2")
-    if t < s + 2:
-        raise ValueError(f"t must be at least s+2 = {s + 2}")
+    _check_st(s, t)
     b_min = max(s, t // 2)
     if s == 2:
         b_max, single = t - 2, 0

@@ -50,8 +50,6 @@ def table(header: list[str], rows: list[list]) -> str:
 
 
 def _cell(x) -> str:
-    if isinstance(x, Fraction):
-        return format_fraction(x)
     if isinstance(x, float):
         return float15(x)
     if isinstance(x, bool):

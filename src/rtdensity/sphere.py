@@ -180,7 +180,8 @@ class RealizedGraph:
 
 
 def _part_sizes(weights, n_total: int) -> list[int]:
-    # exact floors, remainder to the largest fractional parts (ties by index)
+    # exact floors, remainder to the largest fractional parts (ties by index);
+    # the weights sum to 1, so the remainder is below the number of parts
     targets = [w * n_total for w in weights]
     sizes = [math.floor(x) for x in targets]
     remainder = n_total - sum(sizes)
@@ -188,7 +189,7 @@ def _part_sizes(weights, n_total: int) -> list[int]:
         range(len(weights)), key=lambda i: (sizes[i] - targets[i], i)
     )
     for k in range(remainder):
-        sizes[order[k % len(sizes)]] += 1
+        sizes[order[k]] += 1
     return sizes
 
 

@@ -432,12 +432,8 @@ def maclaurin_gap(xs: list[RationalLike], k: int) -> Fraction:
         if x <= 0:
             raise ValueError("entries must be positive")
     mean = sum(vals, ZERO) / n
-    # elementary symmetric polynomial via prod (1 + x_i z), truncated at z^k
-    coeffs = [ONE] + [ZERO] * k
-    for x in vals:
-        for j in range(min(k, len(coeffs) - 1), 0, -1):
-            coeffs[j] += coeffs[j - 1] * x
-    return comb(n, k) * mean**k - coeffs[k]
+    # singleton parts: the parts density is k! * e_k
+    return comb(n, k) * mean**k - parts_density([(1, x) for x in vals], k) / factorial(k)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +509,6 @@ def lemma_inequality_suite(
     2 <= m <= min(m_max, P+Q) whenever a hypothesis holds.
     """
     pf, qf = as_fraction(p), as_fraction(q)
-    if pf * P + qf * Q != ONE:
-        raise ValueError("pP + qQ must equal 1")
     base = two_part_graph(pf, P, qf, Q)
     improved: WeightedGraph | None = None
     hypothesis: str | None = None

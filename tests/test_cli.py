@@ -401,6 +401,7 @@ REALIZE = ["realize", "--graph", "{k5}", "--N", "16", "--epsilon", "0.2", "--h",
     "args",
     [
         ["audit", "--s", "5", "--t-min", "3", "--t-max", "4"],
+        ["audit", "--s", "5", "--t-min", "8", "--t-max", "7"],
         ["check", "--graph", "{k5}", "--t", "1"],
         ["check", "--graph", "{empty}", "--t", "3"],
         ["coeffs", "--m", "0"],
@@ -440,6 +441,20 @@ def test_bad_input_exits_with_one_message(runner, tmp_path, k5_file, args):
     assert (result.exit_code == 3) == messages[0].startswith("refused:"), result.output
     if args[-1] in ALPHABET_MESSAGES:
         assert messages == [ALPHABET_MESSAGES[args[-1]]]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["density", "--s", "1", "--t", "5"], "Error: s must be at least 2"),
+        (["density", "--s", "5", "--t", "6"], "Error: t must be at least s+2 = 7"),
+        (["audit", "--s", "5", "--t-min", "6", "--t-max", "7"], "Error: t must be at least s+2 = 7"),
+    ],
+)
+def test_invalid_st_names_the_bound(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [message]
 
 
 def test_malformed_graph_exit_2_with_line(runner, tmp_path):

@@ -18,6 +18,7 @@ from rtdensity import (
 )
 from rtdensity import optimize
 from rtdensity.optimize import REFINE_BITS, _isolate, _simplest_between, bound_spec
+from rtdensity.partitions import size_rule
 
 
 def test_optimize_single_class_uniform():
@@ -72,10 +73,29 @@ def test_rho_s3_t5():
 
 
 def test_rho_domain_errors():
-    with pytest.raises(ValueError):
-        rho(1, 5)
-    with pytest.raises(ValueError):
-        rho(4, 5)
+    # enumerate_specs is the one (s, t) check, and its message names the bound
+    for run in (rho, audit_conjecture):
+        with pytest.raises(ValueError, match=r"^s must be at least 2$"):
+            run(1, 5)
+        with pytest.raises(ValueError, match=r"^t must be at least s\+2 = 6$"):
+            run(4, 5)
+
+
+def test_size_rule_drops_only_losing_skeletons():
+    # every balanced skeleton that size_rule drops is certified below rho
+    dropped = 0
+    for s in range(3, 11):
+        for t in range(s + 2, 4 * s + 12):
+            density = rho(s, t).density
+            for b in range(max(s, t // 2), t - 1):
+                a = t - 1 - b
+                q, r = divmod(b, a)
+                if size_rule(s, a, q + (r > 0)):
+                    continue
+                classes = ((q + 1, r), (q, a - r)) if r else ((q, a),)
+                assert optimize_spec(PartitionSpec(s, t, b, a, classes)).upper < density, (s, t, b)
+                dropped += 1
+    assert dropped == 659
 
 
 def test_audit_counterexamples():

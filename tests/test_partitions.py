@@ -80,6 +80,13 @@ def test_enumerate_specs_invariants():
                     )
 
 
+def test_conjectured_b_is_always_first():
+    # audit_conjecture optimizes specs[0] in full as the conjectured skeleton
+    for s in range(2, 30):
+        for t in range(s + 2, 8 * s + 20):
+            assert enumerate_specs(s, t)[0].b == max(s, t // 2), (s, t)
+
+
 def test_size_rule():
     assert size_rule(5, 1, 5) and not size_rule(5, 1, 4) and not size_rule(5, 1, 6)
     assert size_rule(5, 2, 4) and not size_rule(5, 2, 5)

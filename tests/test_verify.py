@@ -323,6 +323,19 @@ def test_check_structure_partial_failures():
     )
     rep = check_structure(g, 4, 8)
     assert rep.a2 and rep.a3 and not rep.a4
+    # a half-weight path 0-1-2 whose ends are joined by 1: one part, not a clique
+    g = WeightedGraph.build([F(1, 3)] * 3, {(0, 1): F(1, 2), (1, 2): F(1, 2), (0, 2): F(1)})
+    rep = check_structure(g, 2, 5)
+    assert rep.a1 and not rep.a2
+    assert "A2: vertices 0,2 share a part but are not joined by weight 1/2" in rep.details
+    # parts of sizes 3 and 1
+    g = WeightedGraph.build(
+        [F(1, 4)] * 4,
+        {(0, 1): F(1, 2), (0, 2): F(1, 2), (1, 2): F(1, 2), (0, 3): F(1), (1, 3): F(1), (2, 3): F(1)},
+    )
+    rep = check_structure(g, 3, 7)
+    assert rep.a2 and not rep.a3
+    assert "A3: part sizes [3, 1] differ by more than 1" in rep.details
 
 
 def test_two_part_basis_examples():
