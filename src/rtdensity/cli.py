@@ -31,7 +31,7 @@ from .verify import (
     check_structure,
     search_space_size,
 )
-from .weighted import EnumerationLimitError, GraphFormatError, graph_to_dict, load_graph
+from .weighted import EnumerationLimitError, GraphFormatError, graph_to_dict, load_graph, validate
 
 if TYPE_CHECKING:
     from .sphere import BEConfig, graph_stats, realize
@@ -60,13 +60,18 @@ def __getattr__(name: str):
 
 
 def _load(path: str):
+    """The weighted graph in a file; one usage error names every defect."""
     try:
-        return load_graph(path)
+        g = load_graph(path)
     except OSError as exc:
         raise click.UsageError(f"cannot read graph file {path}: {exc}")
     except GraphFormatError as exc:
         where = f" (line {exc.line})" if exc.line else ""
         raise click.UsageError(f"malformed graph file {path}{where}: {exc}")
+    errors = validate(g).errors
+    if errors:
+        raise click.UsageError(f"invalid weighted graph in {path}: " + "; ".join(errors))
+    return g
 
 
 @click.group()

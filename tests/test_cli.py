@@ -132,13 +132,20 @@ def test_audit_json_and_schema(runner):
     validate_schema(payload, "audit")
 
 
-def test_check_json_and_schema(runner, k5_file):
+def test_check_json_and_schema(runner, k5_file, tmp_path):
     payload = run_json(runner, ["check", "--graph", k5_file, "--t", "10"])
     assert payload["free"] is False and payload["score"] == 10
     assert payload["trimmed"]["score"] == 10
     validate_schema(payload, "check")
     payload = run_json(runner, ["check", "--graph", k5_file, "--t", "11"])
     assert payload["free"] is True and payload["witness"] is None
+    validate_schema(payload, "check")
+    # past 32 vertices a graph that is not free still gets a trimmed witness
+    k33 = tmp_path / "k33.json"
+    k33.write_text(dumps_graph(complete_balanced(33)))
+    payload = run_json(runner, ["check", "--graph", str(k33), "--t", "66"])
+    assert payload["free"] is False and payload["score"] == 66
+    assert payload["trimmed"] == {"s1": list(range(33)), "s2": list(range(33)), "score": 66}
     validate_schema(payload, "check")
 
 
@@ -420,6 +427,11 @@ REALIZE = ["realize", "--graph", "{k5}", "--N", "16", "--epsilon", "0.2", "--h",
         ["coeffs", "--m", "201"],
         ["search", "--n", "9", "--s", "2", "--t", "4", "-d", "40"],
         [*REALIZE, "--N", "5000"],
+        # well-formed files that are not weighted graphs
+        ["check", "--graph", "{heavy}", "--t", "3"],
+        ["check", "--graph", "{negative}", "--t", "3"],
+        ["structure", "--graph", "{heavy}", "--s", "2", "--t", "4"],
+        ["structure", "--graph", "{negative}", "--s", "2", "--t", "4"],
     ],
 )
 def test_bad_input_exits_with_one_message(runner, tmp_path, k5_file, args):
@@ -428,9 +440,15 @@ def test_bad_input_exits_with_one_message(runner, tmp_path, k5_file, args):
     # click's usage block, whose one message line starts with `Error:`
     empty = tmp_path / "empty.json"
     empty.write_text('{"vertices": [], "edges": []}')
-    invalid = tmp_path / "invalid.json"
-    invalid.write_text(dumps_graph(WeightedGraph.build([2, -1], {(0, 1): 1})))
-    argv = [a.format(k5=k5_file, empty=empty, invalid=invalid, out=tmp_path / "e") for a in args]
+    files = {
+        "invalid": WeightedGraph.build([2, -1], {(0, 1): 1}),
+        "heavy": WeightedGraph.build([F(1, 2), F(1, 2)], {(0, 1): F(3, 2)}),
+        "negative": WeightedGraph.build([5, -7], {(0, 1): -1}),
+    }
+    for name, g in files.items():
+        (tmp_path / f"{name}.json").write_text(dumps_graph(g))
+    names = {name: tmp_path / f"{name}.json" for name in files}
+    argv = [a.format(k5=k5_file, empty=empty, out=tmp_path / "e", **names) for a in args]
     result = runner.invoke(main, argv)
     assert result.exit_code in (2, 3), result.output
     assert "Traceback" not in result.output

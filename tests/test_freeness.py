@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_graph
 from rtdensity import (
     SimpleGraph,
+    WeightedCliqueWitness,
     WeightedGraph,
     complete_balanced,
     h_density,
@@ -23,21 +24,24 @@ from rtdensity import (
 from rtdensity.partitions import enumerate_specs
 
 
-def brute_force_score(g: WeightedGraph) -> int:
-    """Max |S1| + |S2| by direct enumeration of every pair S2 <= S1."""
+def valid_pairs(g: WeightedGraph):
+    """Every pair S2 <= S1, S2 nonempty, with S1 a clique of positive edges and
+    S2 a clique of edges above 1/2, by direct enumeration."""
     pos = threshold_subgraph(g, 0)
     half = threshold_subgraph(g, F(1, 2))
-    best = 0
-    n = g.n
-    for size1 in range(1, n + 1):
-        for s1 in combinations(range(n), size1):
+    for size1 in range(1, g.n + 1):
+        for s1 in combinations(range(g.n), size1):
             if not all(pos.has_edge(u, v) for u, v in combinations(s1, 2)):
                 continue
             for size2 in range(1, size1 + 1):
                 for s2 in combinations(s1, size2):
                     if all(half.has_edge(u, v) for u, v in combinations(s2, 2)):
-                        best = max(best, size1 + size2)
-    return best
+                        yield s1, s2
+
+
+def brute_force_score(g: WeightedGraph) -> int:
+    """Max |S1| + |S2| over every valid pair."""
+    return max(len(s1) + len(s2) for s1, s2 in valid_pairs(g))
 
 
 def uniform_triangle():
@@ -60,7 +64,9 @@ def test_score_examples():
 def test_score_matches_brute_force(rng):
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 7))
-        assert max_weighted_clique_score(g)[0] == brute_force_score(g)
+        score, w = max_weighted_clique_score(g)
+        assert score == brute_force_score(g) == w.score
+        assert (w.s1, w.s2) in valid_pairs(g)
 
 
 def test_is_ckt_free_examples():
@@ -76,6 +82,11 @@ def test_is_ckt_free_examples():
     assert not res.free
     assert res.trimmed.score == 5
     assert len(res.trimmed.s1) == 3 and len(res.trimmed.s2) == 2
+
+    # 33 vertices on weight-1 edges: S1 = S2 = everything scores 66
+    res = is_ckt_free(complete_balanced(33), 66)
+    assert not res.free and res.score == 66
+    assert res.trimmed.score == 66 and res.trimmed == res.witness
 
 
 def test_recursive_searches_leave_no_reference_cycles():
@@ -147,7 +158,19 @@ def test_partition_graphs_score_exactly_a_plus_b(rng):
             assert score == spec.a + spec.b == t - 1
 
 
-def test_trimmed_witness_is_valid_and_lex_least():
+def documented_cut(w, t: int):
+    """The trimmed witness is_ckt_free promises, as (S1', S2').
+
+    S2' is the k2 = max(1, t - |S1|) smallest vertices of S2; S1' adds the
+    t - 2 k2 smallest vertices of S1 outside S2'.
+    """
+    k2 = max(1, t - len(w.s1))
+    s2 = sorted(w.s2)[:k2]
+    rest = sorted(set(w.s1) - set(s2))[: t - 2 * k2]
+    return tuple(sorted(s2 + rest)), tuple(s2)
+
+
+def test_trimmed_witness_is_valid_and_cut_from_witness():
     # one raised edge: score 10 via S1 = everything, S2 = the weight-1 edge
     edges = {}
     for u in range(6):
@@ -155,43 +178,38 @@ def test_trimmed_witness_is_valid_and_lex_least():
             edges[(u, v)] = F(1, 2)
     edges[(2, 4)] = F(1)
     g = WeightedGraph.build([F(1, 6)] * 6, edges)
-    res = is_ckt_free(g, 8)
-    assert not res.free
-    trimmed = res.trimmed
-    assert trimmed.score == 8
-    pos = threshold_subgraph(g, 0)
-    half = threshold_subgraph(g, F(1, 2))
-    assert set(trimmed.s2) <= set(trimmed.s1)
-    assert all(pos.has_edge(u, v) for u, v in combinations(trimmed.s1, 2))
-    assert all(half.has_edge(u, v) for u, v in combinations(trimmed.s2, 2))
-    # lexicographically least: S1 starts at the smallest vertices
-    assert trimmed.s1[:2] == (0, 1)
-
-
-def brute_force_trimmed(g: WeightedGraph, t: int):
-    """Least (S1, S2) of score exactly t over every valid pair, or None."""
-    pos = threshold_subgraph(g, 0)
-    half = threshold_subgraph(g, F(1, 2))
-    pairs = [
-        (s1, s2)
-        for size1 in range(1, t)
-        for s1 in combinations(range(g.n), size1)
-        if all(pos.has_edge(u, v) for u, v in combinations(s1, 2))
-        for s2 in combinations(s1, t - size1)
-        if all(half.has_edge(u, v) for u, v in combinations(s2, 2))
+    witness = WeightedCliqueWitness((0, 1, 2, 3, 4, 5), (2, 4))
+    # at t = 8 the witness already scores t and comes back unchanged; at
+    # t = 7, S2 keeps its smallest vertex; at t = 5, S1 keeps 2 and the three
+    # smallest others
+    cuts = [
+        (8, witness),
+        (7, WeightedCliqueWitness((0, 1, 2, 3, 4, 5), (2,))),
+        (5, WeightedCliqueWitness((0, 1, 2, 3), (2,))),
     ]
-    return min(pairs, default=None)
+    for t, want in cuts:
+        res = is_ckt_free(g, t)
+        assert not res.free and res.witness == witness
+        trimmed = res.trimmed
+        assert trimmed.score == t and (trimmed.s1, trimmed.s2) in valid_pairs(g)
+        assert trimmed == want and (trimmed.s1, trimmed.s2) == documented_cut(witness, t)
 
 
-def test_trimmed_witness_matches_brute_force_minimum(rng):
+def test_trimmed_witness_is_the_documented_cut(rng):
     for _ in range(80):
         g = random_graph(rng, rng.randint(1, 7))
+        pairs = set(valid_pairs(g))
+        score = max(len(s1) + len(s2) for s1, s2 in pairs)
         for t in range(2, 2 * g.n + 2):
             res = is_ckt_free(g, t)
-            want = brute_force_trimmed(g, t)
-            assert res.free == (want is None)
-            got = None if res.trimmed is None else (res.trimmed.s1, res.trimmed.s2)
-            assert got == want
+            assert res.free == (score < t)
+            if res.free:
+                assert res.witness is None and res.trimmed is None
+                continue
+            assert res.witness.score == score
+            got = (res.trimmed.s1, res.trimmed.s2)
+            assert got == documented_cut(res.witness, t)
+            assert got in pairs and len(got[0]) + len(got[1]) == t
 
 
 def test_domain_errors():

@@ -352,6 +352,8 @@ def test_two_part_basis_examples():
     assert two_part_basis(2, 0, p, P, q, Q) == expected
     with pytest.raises(ValueError):
         two_part_basis(2, 2, p, P, q, Q)
+    with pytest.raises(ValueError, match="P and Q must be positive"):
+        two_part_basis(2, 0, p, 0, q, Q)
 
 
 def test_basis_coefficients_examples():
@@ -445,3 +447,5 @@ def test_two_part_graph_matches_density():
         + F(1, 4) ** 2 * F(1, 2)
         + 6 * F(1, 6) * F(1, 4)
     )
+    with pytest.raises(ValueError, match=r"pP \+ qQ must equal 1"):
+        two_part_graph(F(1, 6), 3, F(1, 4), 3)

@@ -244,6 +244,17 @@ def test_graph_json_missing_pairs_default_zero():
             "must be integers",
         ),
         ('{"vertices": [{"id": 0, "w": true}]}', "vertex 0"),
+        ('{"vertices": [{"id": 0, "w": "1/2"}, {"id": 0, "w": "1/2"}]}', "duplicate vertex id 0"),
+        (
+            '{"vertices": [{"id": 0, "w": "1/2"}, {"id": 1, "w": "1/2"}],'
+            ' "edges": [{"u": 0, "v": 2, "w": "1"}]}',
+            "unknown vertex",
+        ),
+        (
+            '{"vertices": [{"id": 0, "w": "1/2"}, {"id": 1, "w": "1/2"}],'
+            ' "edges": [{"u": 0, "v": 1, "w": "1"}, {"u": 1, "v": 0, "w": "1/2"}]}',
+            "duplicate edge (0,1)",
+        ),
     ],
 )
 def test_graph_json_rejects_malformed(payload, fragment):
