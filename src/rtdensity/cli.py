@@ -6,8 +6,8 @@ whose columns are the JSON fields, a rational `x` shown as `x_exact,x_float`.
 Identical invocations produce byte-identical output. Exit codes: 0 success,
 2 flag or input errors (including a search space with no t-free graph or an
 unwritable realize --out), 3 a refusal: any `EnumerationLimitError`, that is
-a search space, realization size, coeffs order or density output size over
-its limit, prints one `refused:` line.
+a search space, realization size, coeffs order, density output size or
+audit skeleton count over its limit, prints one `refused:` line.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import click
 
 from .freeness import is_ckt_free, max_weighted_clique_score
 from .optimize import audit_conjecture, rho
-from .partitions import assignment_to_dict, parts_total
+from .partitions import assignment_to_dict, parts_total, spec_count
 from .rationals import format_fraction, parse_fraction
 from .serialize import csv_text, dumps, exact_float, float15, table
 from .verify import (
@@ -38,6 +38,9 @@ if TYPE_CHECKING:
 
 # part sizes density prints, partitions.parts_total(s, t); s = 5 admits t <= 3086
 DENSITY_SIZE_LIMIT = 10**6
+# skeletons audit enumerates over its t range, Σ partitions.spec_count(s, t);
+# audit --s 60 --t-min 62 --t-max 370 has 31,317
+AUDIT_SKELETON_LIMIT = 10**6
 
 # The sphere layer imports numpy, which takes longer to load than every other
 # command needs, so only `realize` loads it. The benchmark tracer patches
@@ -196,6 +199,15 @@ def audit(s, t_min, t_max):
     """Compare the observed best b against max(s, floor(t/2)) for each t."""
     if t_max < t_min:
         raise click.UsageError("--t-max must be at least --t-min")
+    # every t has at least one skeleton, so this loop stops within
+    # AUDIT_SKELETON_LIMIT + 1 steps, before anything is enumerated
+    total = 0
+    for t in range(t_min, t_max + 1):
+        total += spec_count(s, t)
+        if total > AUDIT_SKELETON_LIMIT:
+            raise EnumerationLimitError(
+                f"{total} skeletons to audit up to t = {t} exceed the limit of {AUDIT_SKELETON_LIMIT}"
+            )
     entries = []
     for t in range(t_min, t_max + 1):
         rep = audit_conjecture(s, t)

@@ -25,22 +25,40 @@ are used, so every s is in range. Each skeleton reports two exact values:
   coefficients c_j / C(s, j) of F are nonnegative.
 
 The same coefficients bound F itself: F <= max_j c_j / C(s, j) on [0, 1]
-(Lane & Riesenfeld, BIT 1981). `audit_conjecture`, and `periodicity_check`
-through it, use that bound for branch and bound over skeletons: a skeleton
-whose bound is strictly below the best `certified` found so far can be
-neither the winner nor a tie, so it skips root isolation, refinement and
-snapping. A pruned skeleton still reports a valid enclosure: `certified` is
-F at the uniform point, a real weighting, and `upper` is the Bernstein
-bound. `rho`, and so the `density` command, which prints every skeleton's
-`certified` and `upper`, never prune.
+(Lane & Riesenfeld, BIT 1981). A cheaper bound needs no class polynomial:
+with (q, r) = divmod(s, a), any s vertices span at least
+m = r C(q+1, 2) + (a - r) C(q, 2) pairs inside parts, each of weight 1/2,
+and Maclaurin's inequality gives s! e_s(w) <= prod_{j<s} (1 - j/b) for any
+weights w >= 0 summing to 1 on the b vertices, so
+
+    U(b, a) = balanced_density(b, s) / 2^m
+
+bounds the density at every class weighting and at both endpoint limits
+(`maclaurin_bound`, O(s) integer work).
+
+`audit_conjecture`, and `periodicity_check` through it, use both bounds for
+best-first branch and bound over skeletons. It optimizes the conjectured
+skeleton in full, then visits the others in order of decreasing U and
+stops at the first U strictly below the best `certified` found so far. A
+visited skeleton whose Bernstein bound is below the best so far skips root
+isolation, refinement and snapping. A skeleton cut by either bound can be
+neither the winner nor a tie, and it still reports a valid enclosure:
+`certified` is F at the uniform point, a real weighting, and `upper` is
+its Bernstein bound, or U if it was never visited; an unvisited entry
+computes its `certified` on first read. `rho`, and so the `density`
+command, which prints every skeleton's `certified` and `upper`, never
+prune.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from math import comb, factorial, gcd
+from functools import cached_property
+from itertools import accumulate, repeat
+from math import comb, factorial, gcd, perm
+from operator import mul
+from typing import Iterable
 
 # The benchmark tracer patches class_poly, parts_density, spec_density,
 # optimize_spec and rho under their names in this module, so all five stay
@@ -206,23 +224,26 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
         h0, h1, k0, k1 = h1, f * h1 + h0, k1, f * k1 + k0
 
 
+def _powers(x: int, n: int) -> list[int]:
+    """[x^0, x^1, ..., x^n], one multiplication each."""
+    return list(accumulate(repeat(x, n), mul, initial=1))
+
+
 def _bernstein(spec: PartitionSpec) -> tuple[list[int], Fraction]:
     """(c, scale) of a two-class skeleton: its density is scale * F(x) with
     F(x) = sum_j c_j x^j (1 - x)^(s - j) and coprime integers c_j >= 0."""
     s = spec.s
     (n_large, k_large), (n_small, k_small) = spec.classes
-    sum_large = n_large * k_large
-    sum_small = n_small * k_small
+    pow_large = _powers(n_large * k_large, s)
+    pow_small = _powers(n_small * k_small, s)
     alpha, e_large = class_poly(n_large, k_large, s)
     beta, e_small = class_poly(n_small, k_small, s)
     c = [
-        u * v * sum_small**j * sum_large ** (s - j)
+        u * v * pow_small[j] * pow_large[s - j]
         for j, (u, v) in enumerate(zip(alpha, reversed(beta)))
     ]
     g = gcd(*c) or 1  # F = 0 when the skeleton has fewer than s vertices
-    scale = Fraction(
-        factorial(s) * g, (sum_large**s * sum_small**s) << (e_large + e_small)
-    )
+    scale = Fraction(factorial(s) * g, (pow_large[s] * pow_small[s]) << (e_large + e_small))
     return [x // g for x in c], scale
 
 
@@ -236,6 +257,39 @@ def _bernstein_max(c: list[int]) -> Fraction:
         if x * den > num * binom:  # x / binom > num / den, on integers
             num, den = x, binom
     return Fraction(num, den)
+
+
+def maclaurin_bound(spec: PartitionSpec) -> Fraction:
+    """U = balanced_density(b, s) / 2^m >= the skeleton's supremum, in O(s)
+    integer work and with no class polynomial.
+
+    With (q, r) = divmod(s, a), m = r C(q+1, 2) + (a - r) C(q, 2) is the
+    fewest pairs inside parts that s vertices spread over a parts can span
+    (C(n, 2) is convex), so each s-subset's edge product is at most 2^-m,
+    and the density is at most s! e_s(w) 2^-m. For any weights w >= 0
+    summing to 1 on the b vertices, Maclaurin's inequality gives
+    s! e_s(w) <= s! C(b, s) / b^s = prod_{j<s} (1 - j/b). So U bounds every
+    class weighting and both endpoint limits.
+    """
+    s, b, a = spec.s, spec.b, spec.a
+    q, r = divmod(s, a)
+    m = r * comb(q + 1, 2) + (a - r) * comb(q, 2)
+    return Fraction(perm(b - 1, s - 1), b ** (s - 1) << m)
+
+
+class _CutOptimum(SpecOptimum):
+    """A skeleton the audit cut by `maclaurin_bound` alone: uniform weights
+    and upper = U. `certified`, the density at those weights, is computed on
+    first read, so a caller that never reads it builds no class polynomial."""
+
+    def __init__(self, spec: PartitionSpec, upper: Fraction):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "weights", uniform_assignment(spec))
+        object.__setattr__(self, "upper", upper)
+
+    @cached_property
+    def certified(self) -> Fraction:
+        return bound_spec(self.spec).certified
 
 
 def bound_spec(spec: PartitionSpec, built: tuple[list[int], Fraction] | None = None) -> SpecOptimum:
@@ -323,9 +377,14 @@ def optimize_spec(spec: PartitionSpec, built: tuple[list[int], Fraction] | None 
     return SpecOptimum(spec, weights, scale * best_f, scale * upper)
 
 
-def _result(s: int, t: int, optima: list[SpecOptimum]) -> OptimizationResult:
-    density = max(o.certified for o in optima)
-    ties = tuple(i for i, o in enumerate(optima) if o.certified == density)
+def _result(
+    s: int, t: int, optima: list[SpecOptimum], visited: Iterable[int] | None = None
+) -> OptimizationResult:
+    """The density, winner and ties are read from the `visited` indices
+    (every index by default); the others must each have upper < density."""
+    indices = range(len(optima)) if visited is None else sorted(visited)
+    density = max(optima[i].certified for i in indices)
+    ties = tuple(i for i in indices if optima[i].certified == density)
     upper = max(o.upper for o in optima)
     return OptimizationResult(s, t, tuple(optima), ties[0], density, ties, upper)
 
@@ -338,15 +397,22 @@ def rho(s: int, t: int) -> OptimizationResult:
 def audit_conjecture(s: int, t: int) -> AuditReport:
     """Compare the observed best b against max(s, floor(t/2)).
 
-    Branch and bound over the skeletons: the one at the conjectured b, the
-    smallest b `enumerate_specs` admits, is optimized in full, and every
-    other one is first enclosed by `bound_spec`. The best `certified` so
-    far starts at the largest of these values. Skeletons are then taken in
-    order of decreasing bound, and each one whose bound is not strictly
-    below the best so far is optimized in full. A skeleton left pruned can
-    be neither the winner nor a tie, so `result` has the density, winner
-    and ties of `rho(s, t)`, and each of its entries is still a valid
-    enclosure.
+    Best-first branch and bound over the skeletons. The one at the
+    conjectured b, the smallest b `enumerate_specs` admits, is optimized in
+    full, since `margin` needs it; its `certified` starts the best so far.
+    Every other skeleton gets `maclaurin_bound` U, and they are visited in
+    order of decreasing U, ties by index. The visit stops at the first U
+    strictly below the best so far. A visited skeleton builds its
+    `_bernstein` once and is enclosed by `bound_spec`; if that Bernstein
+    bound is not below the best so far and is above its `certified`, it is
+    optimized in full, and its `certified` may raise the best.
+
+    A skeleton left unvisited keeps an entry with uniform weights and
+    upper = U; its `certified` is the exact density at those weights,
+    computed on first read. A skeleton cut by either bound can be neither
+    the winner nor a tie, so `result` has the density, winner and ties of
+    `rho(s, t)`, read from the visited entries, and every entry is still a
+    valid enclosure. No cache outlives the call.
 
     The conjectured b always passes `size_rule`, so it is `specs[0]`: with
     a = t - 1 - b, either a = 1 and b = t - 2 = s, or a >= 2 and the
@@ -354,21 +420,23 @@ def audit_conjecture(s: int, t: int) -> AuditReport:
     """
     specs = enumerate_specs(s, t)
     conjectured_b = max(s, t // 2)
-    # each two-class skeleton's (c, scale) is built once, for its bound and,
-    # if it survives, its full optimization
-    built = [_bernstein(sp) if len(sp.classes) == 2 else None for sp in specs]
-    optima = [optimize_spec(specs[0], built[0])] + [
-        bound_spec(sp, b) for sp, b in zip(specs[1:], built[1:])
-    ]
-    best = max(o.certified for o in optima)
-    for i in sorted(range(1, len(specs)), key=lambda i: optima[i].upper, reverse=True):
-        if optima[i].upper < best:
+    visited = {0: optimize_spec(specs[0])}
+    best = visited[0].certified
+    bounds = [maclaurin_bound(sp) for sp in specs]
+    for i in sorted(range(1, len(specs)), key=bounds.__getitem__, reverse=True):
+        if bounds[i] < best:
             break
-        if optima[i].upper > optima[i].certified:
-            optima[i] = optimize_spec(specs[i], built[i])
-            best = max(best, optima[i].certified)
-    result = _result(s, t, optima)
-    margin = result.density - optima[0].certified
+        # the (c, scale) of a two-class skeleton is built once, for its
+        # Bernstein bound and, if it survives that, its full optimization
+        built = _bernstein(specs[i]) if len(specs[i].classes) == 2 else None
+        opt = bound_spec(specs[i], built)
+        if opt.upper >= best and opt.upper > opt.certified:
+            opt = optimize_spec(specs[i], built)
+        visited[i] = opt
+        best = max(best, opt.certified)
+    optima = [visited.get(i) or _CutOptimum(sp, bounds[i]) for i, sp in enumerate(specs)]
+    result = _result(s, t, optima, visited)
+    margin = result.density - visited[0].certified
     observed_b = result.per_spec[result.best_index].spec.b
     counterexample = observed_b != conjectured_b and margin > 0
     return AuditReport(s, t, conjectured_b, observed_b, counterexample, margin, result)

@@ -74,19 +74,31 @@ def enumerate_specs(s: int, t: int) -> list[PartitionSpec]:
     return specs
 
 
-def parts_total(s: int, t: int) -> int:
-    """sum(spec.a for spec in enumerate_specs(s, t)), in O(1).
+def _b_range(s: int, t: int) -> tuple[int, int, int]:
+    """(b_min, b_max, single): `enumerate_specs(s, t)` admits exactly the b
+    in b_min..b_max, plus `single` (0 or 1) skeleton with a = 1 outside it.
 
-    For s <= 2 every b up to t - 2 is admitted. For s >= 3, `size_rule`
-    admits a >= 2 parts exactly when b <= (t - 1)(s - 1) / s, and a = 1 only
-    when b = t - 2 = s; a = t - 1 - b falls by one per step of b.
+    For s <= 2 every b up to t - 2 is admitted, and single = 0. For s >= 3,
+    `size_rule` admits a >= 2 parts exactly when b <= (t - 1)(s - 1) / s,
+    and a = 1 only when b = t - 2 = s.
     """
     _check_st(s, t)
     b_min = max(s, t // 2)
     if s == 2:
-        b_max, single = t - 2, 0
-    else:
-        b_max, single = min(t - 3, (t - 1) * (s - 1) // s), int(t - 2 == s)
+        return b_min, t - 2, 0
+    return b_min, min(t - 3, (t - 1) * (s - 1) // s), int(t - 2 == s)
+
+
+def spec_count(s: int, t: int) -> int:
+    """len(enumerate_specs(s, t)), in O(1)."""
+    b_min, b_max, single = _b_range(s, t)
+    return single + max(0, b_max - b_min + 1)
+
+
+def parts_total(s: int, t: int) -> int:
+    """sum(spec.a for spec in enumerate_specs(s, t)), in O(1): over the
+    range of `_b_range`, a = t - 1 - b falls by one per step of b."""
+    b_min, b_max, single = _b_range(s, t)
     a_max, a_min = t - 1 - b_min, t - 1 - b_max
     return single + max(0, (a_min + a_max) * (a_max - a_min + 1) // 2)
 

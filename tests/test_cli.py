@@ -21,8 +21,8 @@ from rtdensity import (
     rho,
 )
 from rtdensity import cli
-from rtdensity.cli import DENSITY_SIZE_LIMIT, main
-from rtdensity.partitions import enumerate_specs
+from rtdensity.cli import AUDIT_SKELETON_LIMIT, DENSITY_SIZE_LIMIT, main
+from rtdensity.partitions import enumerate_specs, spec_count
 from rtdensity.sphere import MAX_H, MAX_N, RealizationLimitError
 from rtdensity.verify import (
     BASIS_M_LIMIT,
@@ -188,6 +188,37 @@ def test_density_refusal_at_huge_t_is_constant_time(runner, monkeypatch):
     assert result.exit_code == 3 and result.stdout == ""
     assert result.output.startswith("refused: 10499998500000 part sizes")
     assert elapsed < 0.5
+
+
+def audit_t_past_limit(s, t_min):
+    """The least t_max at which audit's skeleton count over t_min..t_max
+    passes AUDIT_SKELETON_LIMIT, and that count."""
+    t, total = t_min, spec_count(s, t_min)
+    while total <= AUDIT_SKELETON_LIMIT:
+        t += 1
+        total += spec_count(s, t)
+    return t, total
+
+
+def test_audit_refuses_skeleton_count_over_limit_before_auditing(runner, monkeypatch):
+    t_max, total = audit_t_past_limit(3, 5)
+    assert total - spec_count(3, t_max) <= AUDIT_SKELETON_LIMIT < total
+    assert spec_count(3, t_max) == len(enumerate_specs(3, t_max))
+    audited = []
+
+    def stub_audit(s, t):
+        audited.append(t)
+        raise RuntimeError("stub: the limit check passed")
+
+    monkeypatch.setattr(cli, "audit_conjecture", stub_audit)
+    result = runner.invoke(main, ["audit", "--s", "3", "--t-min", "5", "--t-max", str(t_max)])
+    assert result.exit_code == 3 and result.stdout == ""
+    assert result.output == (
+        f"refused: {total} skeletons to audit up to t = {t_max} exceed the limit of {AUDIT_SKELETON_LIMIT}\n"
+    )
+    assert audited == []
+    result = runner.invoke(main, ["audit", "--s", "3", "--t-min", "5", "--t-max", str(t_max - 1)])
+    assert isinstance(result.exception, RuntimeError) and audited == [5]
 
 
 def test_search_refusal_exit_code(runner):
@@ -432,6 +463,8 @@ REALIZE = ["realize", "--graph", "{k5}", "--N", "16", "--epsilon", "0.2", "--h",
         ["check", "--graph", "{negative}", "--t", "3"],
         ["structure", "--graph", "{heavy}", "--s", "2", "--t", "4"],
         ["structure", "--graph", "{negative}", "--s", "2", "--t", "4"],
+        # an audit range whose skeleton count is just past the limit
+        ["audit", "--s", "3", "--t-min", "5", "--t-max", str(audit_t_past_limit(3, 5)[0])],
     ],
 )
 def test_bad_input_exits_with_one_message(runner, tmp_path, k5_file, args):

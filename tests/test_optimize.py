@@ -17,7 +17,7 @@ from rtdensity import (
     uniform_assignment,
 )
 from rtdensity import optimize
-from rtdensity.optimize import REFINE_BITS, _isolate, _simplest_between, bound_spec
+from rtdensity.optimize import REFINE_BITS, _isolate, _simplest_between, bound_spec, maclaurin_bound
 from rtdensity.partitions import size_rule
 
 
@@ -125,7 +125,9 @@ def audit_reference(s, t):
 
 
 @pytest.mark.parametrize(
-    "s, ts", [(s, range(s + 2, 3 * s + 6)) for s in range(3, 9)] + [(40, (80, 81))]
+    "s, ts",
+    [(s, range(s + 2, 3 * s + 6)) for s in range(3, 9)]
+    + [(40, (80, 81)), (2, range(4, 12)), (60, (120, 121))],
 )
 def test_pruned_audit_matches_unpruned_reference(s, ts):
     for t in ts:
@@ -160,16 +162,59 @@ def test_bound_spec_encloses_the_optimum():
                 assert bound == full
 
 
-def test_audit_builds_each_two_class_skeleton_once(monkeypatch):
-    # a skeleton that survives the bound reuses the (c, scale) of its bound
+def test_audit_builds_no_skeleton_twice(monkeypatch):
+    # a visited skeleton's full optimization reuses the (c, scale) of its
+    # Bernstein bound; a cut skeleton is built only when its certified is read
     built = []
     real = optimize._bernstein
     monkeypatch.setattr(optimize, "_bernstein", lambda spec: built.append(spec) or real(spec))
     for s, t in [(5, 10), (5, 11), (8, 20), (40, 80), (40, 81)]:
         built.clear()
-        audit_conjecture(s, t)
-        two_class = [sp for sp in enumerate_specs(s, t) if len(sp.classes) == 2]
-        assert sorted(built, key=repr) == sorted(two_class, key=repr)
+        per_spec = audit_conjecture(s, t).result.per_spec
+        assert len(set(built)) == len(built)
+        cut = [o for o in per_spec if isinstance(o, optimize._CutOptimum)]
+        assert not {o.spec for o in cut} & set(built)
+        if s == 40:
+            assert len(cut) > len(per_spec) // 2
+        for o in cut:
+            before = len(built)
+            certified = o.certified
+            assert built[before:] == ([o.spec] if len(o.spec.classes) == 2 else [])
+            assert o.certified == certified == bound_spec(o.spec).certified
+
+
+def m_pairs(s, a):
+    """The fewest pairs inside parts over every way to put s vertices into a
+    parts, by dynamic programming over the parts."""
+    fewest = [math.comb(n, 2) for n in range(s + 1)]  # n vertices in one part
+    for _ in range(a - 1):
+        fewest = [min(fewest[n - k] + math.comb(k, 2) for k in range(n + 1)) for n in range(s + 1)]
+    return fewest[s]
+
+
+def test_maclaurin_bound_encloses_every_optimum():
+    skeletons = 0
+    for s in range(2, 11):
+        for t in range(s + 2, 4 * s + 12):
+            for spec in enumerate_specs(s, t):
+                u = maclaurin_bound(spec)
+                assert u == balanced_density(spec.b, s) / 2 ** m_pairs(s, spec.a)
+                assert u >= optimize_spec(spec).certified, spec
+                skeletons += 1
+    assert skeletons == 2017
+
+
+@pytest.mark.parametrize(
+    "s, ts",
+    [(s, range(s + 2, 3 * s + 6)) for s in range(2, 9)] + [(40, (80, 81)), (60, (120, 121))],
+)
+def test_maclaurin_bound_covers_the_full_upper_of_cut_skeletons(s, ts):
+    for t in ts:
+        rep = audit_conjecture(s, t)
+        for got, full in zip(rep.result.per_spec, rho(s, t).per_spec):
+            if isinstance(got, optimize._CutOptimum):
+                assert got.upper == maclaurin_bound(got.spec) >= full.upper
+                assert full.upper < rep.result.density
 
 
 def simplest_between_reference(lo, hi):

@@ -21,7 +21,14 @@ from rtdensity import (
     uniform_assignment,
     validate,
 )
-from rtdensity.partitions import assignment_to_dict, class_poly, parts_graph, parts_total, size_rule
+from rtdensity.partitions import (
+    assignment_to_dict,
+    class_poly,
+    parts_graph,
+    parts_total,
+    size_rule,
+    spec_count,
+)
 from rtdensity.rationals import format_fraction
 
 
@@ -299,3 +306,12 @@ def test_parts_total_matches_enumeration():
     for s, t in [(1, 5), (4, 5)]:
         with pytest.raises(ValueError):
             parts_total(s, t)
+
+
+def test_spec_count_matches_enumeration():
+    for s in range(2, 12):
+        for t in range(s + 2, 200):
+            assert spec_count(s, t) == len(enumerate_specs(s, t)) >= 1, (s, t)
+    for s, t in [(1, 5), (4, 5)]:
+        with pytest.raises(ValueError):
+            spec_count(s, t)
