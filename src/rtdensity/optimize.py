@@ -36,23 +36,38 @@ weights w >= 0 summing to 1 on the b vertices, so
 bounds the density at every class weighting and at both endpoint limits
 (`maclaurin_bound`, O(s) integer work).
 
-`audit_conjecture`, and `periodicity_check` through it, use both bounds for
-best-first branch and bound over skeletons. It optimizes the conjectured
-skeleton in full, then visits the others in order of decreasing U and
-stops at the first U strictly below the best `certified` found so far. A
-visited skeleton whose Bernstein bound is below the best so far skips root
-isolation, refinement and snapping. A skeleton cut by either bound can be
-neither the winner nor a tie, and it still reports a valid enclosure:
-`certified` is F at the uniform point, a real weighting, and `upper` is
-its Bernstein bound, or U if it was never visited; an unvisited entry
-computes its `certified` on first read. `rho`, and so the `density`
+A third bound brackets the peak. Write F' = sum_j d_j x^j (1 - x)^(s-1-j)
+with d_j = (j+1) c_{j+1} - (s-j) c_j. If the nonzero d_j change sign once,
+from + to -, F' has exactly one root p in (0, 1) (variation diminishing,
+plus the end signs), so F rises to p and falls after it. Bisecting on the
+sign of F', with no power basis, keeps l <= p <= l + 2^-k, and then
+sup F = F(p) <= F(l) + M 2^-k (`_bracket_upper`). This bound is never
+below the full path's `upper`: its 2^-64 interval nests in [l, l + 2^-k],
+or it evaluates F at p itself if p is dyadic. On every two-class skeleton
+measured the d_j change sign at most once, and only from + to -; a
+monotone F, or any other pattern, is left to the full path.
+
+`audit_conjecture`, and `periodicity_check` through it, use these bounds
+for best-first branch and bound over skeletons. It optimizes the
+conjectured skeleton in full, then visits the others in order of
+decreasing U and stops at the first U strictly below the best `certified`
+found so far. A visited skeleton whose Bernstein bound is below the best
+so far skips root isolation, refinement and snapping; so does one whose
+peak bracket at a width 2^-k of `BRACKET_LEVELS` bounds it below the best,
+unless F at the bracket's left end already reaches the best. A skeleton
+cut by any of the bounds has a supremum below the best, so it can be
+neither the winner nor a tie, and the winner always gets the full
+optimization. A cut skeleton still reports a valid enclosure: `certified`
+is F at the uniform point, a real weighting, and `upper` is its bracket
+bound, its Bernstein bound, or U if it was never visited; an unvisited
+entry computes its `certified` on first read. `rho`, and so the `density`
 command, which prints every skeleton's `certified` and `upper`, never
 prune.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -75,6 +90,7 @@ from .weighted import ONE
 
 REFINE_BITS = 64  # refined maxima and unseparated root clusters are 2^-64 wide
 SNAP_BITS = 40  # certify the simplest rational within 2^-40 of each maximum
+BRACKET_LEVELS = (10, 14, 18, 24)  # the audit tries a cut at peak brackets 2^-k wide
 
 
 @dataclass(frozen=True)
@@ -251,11 +267,11 @@ def _bernstein_max(c: list[int]) -> Fraction:
     """max_j c_j / C(s, j) >= F on [0, 1]: F is a convex combination of its
     Bernstein coefficients c_j / C(s, j)."""
     s = len(c) - 1
-    num, den = c[0], 1
+    num, den, binom = c[0], 1, 1  # binom = C(s, j), carried along j
     for j, x in enumerate(c):
-        binom = comb(s, j)
         if x * den > num * binom:  # x / binom > num / den, on integers
             num, den = x, binom
+        binom = binom * (s - j) // (j + 1)
     return Fraction(num, den)
 
 
@@ -306,6 +322,37 @@ def bound_spec(spec: PartitionSpec, built: tuple[list[int], Fraction] | None = N
     c, scale = built or _bernstein(spec)
     uniform = Fraction(_hom_eval(c, n_large * k_large, n_small * k_small), spec.b**spec.s)
     return SpecOptimum(spec, uniform_assignment(spec), scale * uniform, scale * _bernstein_max(c))
+
+
+def _bracket_upper(c: list[int], scale: Fraction, best: Fraction) -> Fraction | None:
+    """A bound below `best` on scale * F over [0, 1] from a coarse bracket of
+    F's one peak, or None if no level of `BRACKET_LEVELS` settles it.
+
+    Only an F whose nonzero d_j (see the module docstring) change sign
+    once, from + to -, is tried: then F has one peak p, and
+    sup F <= F(l) + M 2^-k for l <= p <= l + 2^-k. At each level,
+    F(l) >= best / scale gives up, since the skeleton may win, and
+    F(l) + M 2^-k < best / scale is the bound returned.
+    """
+    s = len(c) - 1
+    d = [(j + 1) * c[j + 1] - (s - j) * c[j] for j in range(s)]
+    if _sign_changes(d) != 1 or next(x for x in d if x) < 0:
+        return None
+    slope = s * _bernstein_max(c)
+    target = best / scale
+    a = k = 0  # p lies in [a / 2^k, (a + 1) / 2^k]
+    for level in BRACKET_LEVELS:
+        while k < level:
+            a, k = 2 * a + 1, k + 1  # the midpoint; F' < 0 there puts p left of it
+            if _hom_eval(d, a, (1 << k) - a) < 0:
+                a -= 1
+        at_left = Fraction(_hom_eval(c, a, (1 << k) - a), 1 << (k * s))
+        if at_left >= target:
+            return None
+        bound = at_left + slope / (1 << k)
+        if bound < target:
+            return scale * bound
+    return None
 
 
 def optimize_spec(spec: PartitionSpec, built: tuple[list[int], Fraction] | None = None) -> SpecOptimum:
@@ -403,16 +450,19 @@ def audit_conjecture(s: int, t: int) -> AuditReport:
     Every other skeleton gets `maclaurin_bound` U, and they are visited in
     order of decreasing U, ties by index. The visit stops at the first U
     strictly below the best so far. A visited skeleton builds its
-    `_bernstein` once and is enclosed by `bound_spec`; if that Bernstein
-    bound is not below the best so far and is above its `certified`, it is
+    `_bernstein` once and is enclosed by `bound_spec`. If that Bernstein
+    bound is not below the best so far and is above its `certified`, the
+    peak is bracketed (`_bracket_upper`); a bracket bound below the best
+    replaces the Bernstein bound as `upper`. Otherwise the skeleton is
     optimized in full, and its `certified` may raise the best.
 
     A skeleton left unvisited keeps an entry with uniform weights and
     upper = U; its `certified` is the exact density at those weights,
-    computed on first read. A skeleton cut by either bound can be neither
-    the winner nor a tie, so `result` has the density, winner and ties of
-    `rho(s, t)`, read from the visited entries, and every entry is still a
-    valid enclosure. No cache outlives the call.
+    computed on first read. A skeleton cut by any bound has a supremum
+    below the best, so it can be neither the winner nor a tie: the winner
+    and its ties always run `optimize_spec`, and `result` has the density,
+    winner and ties of `rho(s, t)`, read from the visited entries. Every
+    entry is still a valid enclosure. No cache outlives the call.
 
     The conjectured b always passes `size_rule`, so it is `specs[0]`: with
     a = t - 1 - b, either a = 1 and b = t - 2 = s, or a >= 2 and the
@@ -431,7 +481,8 @@ def audit_conjecture(s: int, t: int) -> AuditReport:
         built = _bernstein(specs[i]) if len(specs[i].classes) == 2 else None
         opt = bound_spec(specs[i], built)
         if opt.upper >= best and opt.upper > opt.certified:
-            opt = optimize_spec(specs[i], built)
+            upper = _bracket_upper(*built, best)
+            opt = optimize_spec(specs[i], built) if upper is None else replace(opt, upper=upper)
         visited[i] = opt
         best = max(best, opt.certified)
     optima = [visited.get(i) or _CutOptimum(sp, bounds[i]) for i, sp in enumerate(specs)]

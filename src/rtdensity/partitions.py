@@ -160,6 +160,8 @@ def class_poly(size: int, count: int, s: int) -> tuple[list[int], int]:
     is factored out: the z^j coefficient of `count` equal parts of weight w
     in the density generating product is c[j] * w^j / 2^E.
     """
+    if size == 1:  # (1 + y)^count: no pair inside a part of size 1
+        return [comb(count, j) for j in range(s + 1)], 0
     d = min(size, s)
     e = comb(d, 2)
     base = [comb(size, m) << (e - comb(m, 2)) for m in range(d + 1)]

@@ -209,12 +209,76 @@ def test_maclaurin_bound_encloses_every_optimum():
     [(s, range(s + 2, 3 * s + 6)) for s in range(2, 9)] + [(40, (80, 81)), (60, (120, 121))],
 )
 def test_maclaurin_bound_covers_the_full_upper_of_cut_skeletons(s, ts):
+    bracketed = 0
     for t in ts:
         rep = audit_conjecture(s, t)
         for got, full in zip(rep.result.per_spec, rho(s, t).per_spec):
             if isinstance(got, optimize._CutOptimum):
                 assert got.upper == maclaurin_bound(got.spec) >= full.upper
                 assert full.upper < rep.result.density
+            elif got != full and got.upper < bound_spec(got.spec).upper:  # cut at a peak bracket
+                assert full.upper <= got.upper < rep.result.density
+                bracketed += 1
+    assert bracketed > 0
+
+
+def test_bracket_stage_leaves_three_full_optimizations(monkeypatch):
+    # full two-class optimizations, the winner's among them (7, 6 and 68
+    # before the bracket stage)
+    full = []
+    real = optimize.optimize_spec
+    monkeypatch.setattr(
+        optimize, "optimize_spec", lambda spec, built=None: full.append(spec) or real(spec, built)
+    )
+    for (s, t), expected in {(40, 80): 3, (40, 81): 3, (200, 544): 3}.items():
+        full.clear()
+        rep = audit_conjecture(s, t)
+        assert sum(len(spec.classes) == 2 for spec in full) == expected, (s, t)
+        assert rep.result.per_spec[rep.result.best_index].spec in full
+
+
+def bernstein_derivative(c):
+    """d with F' = sum_j d_j x^j (1 - x)^(s-1-j) for F = sum_j c_j x^j (1 - x)^(s-j)."""
+    s = len(c) - 1
+    return [(j + 1) * c[j + 1] - (s - j) * c[j] for j in range(s)]
+
+
+def test_every_skeleton_has_at_most_one_peak():
+    # the lemma of the bracket stage: d changes sign at most once, and only
+    # from + to -, on every two-class skeleton of the sweep
+    skeletons = 0
+    for s in range(3, 21):
+        for t in range(s + 2, 4 * s + 12):
+            for spec in enumerate_specs(s, t):
+                if len(spec.classes) == 2:
+                    d = bernstein_derivative(optimize._bernstein(spec)[0])
+                    changes = optimize._sign_changes(d)
+                    assert changes == 0 or (changes == 1 and next(x for x in d if x) > 0), spec
+                    skeletons += 1
+    assert skeletons == 11181
+
+
+def test_bracket_stage_cuts_no_other_sign_pattern():
+    # F = 3x(1 - x)^2 + 3x^3 is at most 3, yet d = [3, -6, 9] changes sign
+    # twice, so no best, however large, lets the bracket stage cut it
+    c = [0, 3, 0, 3]
+    assert bernstein_derivative(c) == [3, -6, 9]
+    for best in (F(1, 100), F(1), F(10), F(10**6)):
+        assert optimize._bracket_upper(c, F(1), best) is None
+    # a valley (d from - to +) and a monotone F are not tried either
+    for c in ([3, 0, 0, 3], [0, 0, 0, 1], [1, 0, 0, 0]):
+        assert optimize._bracket_upper(c, F(1), F(10**6)) is None
+    # one peak is cut once a bracket settles it
+    assert optimize._bracket_upper([0, 3, 0, 0], F(1), F(10**6)) < F(10**6)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10**30), min_size=1, max_size=60))
+@example([0])
+@example([5, 0, 0])
+def test_bernstein_max_matches_fraction_reference(c):
+    s = len(c) - 1
+    assert optimize._bernstein_max(c) == max(F(x, math.comb(s, j)) for j, x in enumerate(c))
 
 
 def simplest_between_reference(lo, hi):
@@ -321,3 +385,16 @@ def test_enclosure_on_random_two_class_skeletons(spec, points):
         if 0 < x < 1:
             w = (x / (n_large * k_large), (1 - x) / (n_small * k_small))
             assert spec_density(spec, w, s) <= opt.upper
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(two_class_specs(), st.integers(-30, 30))
+def test_bracket_upper_encloses_the_full_upper(spec, e):
+    # a bracket cut is below best and above everything the full optimization
+    # can certify or bound
+    c, scale = optimize._bernstein(spec)
+    full = optimize_spec(spec)
+    best = full.upper * (1 + F(1, 2**e) if e >= 0 else 1 - F(1, 2**-e))
+    upper = optimize._bracket_upper(c, scale, best)
+    if upper is not None:
+        assert full.upper <= upper < best
