@@ -24,6 +24,16 @@ are used, so every s is in range. Each skeleton reports two exact values:
   M = s * max_j c_j / C(s, j) bounds |F'| on [0, 1] because the Bernstein
   coefficients c_j / C(s, j) of F are nonnegative.
 
+All of this runs on the support of c: c_j > 0 exactly for
+j0 = max(0, s - S_small) <= j <= min(s, S_large), S a class's vertex count,
+and c_j = 0 elsewhere. With tail = s - min(s, S_large), F = x^j0 (1 - x)^tail G
+for G with the coefficients core = c[j0 : s + 1 - tail], so
+sum_j c_j u^j v^(s-j) = u^j0 v^tail `_hom_eval(core, u, v)`, the bounds
+below read only the core, and only G is put in the power basis
+(`_critical_poly`). Past the crossover the core is often under half of c.
+Every integer computed is the one the full c gives, so results are the
+same.
+
 The same coefficients bound F itself: F <= max_j c_j / C(s, j) on [0, 1]
 (Lane & Riesenfeld, BIT 1981). A cheaper bound needs no class polynomial:
 with (q, r) = divmod(s, a), any s vertices span at least
@@ -245,30 +255,65 @@ def _powers(x: int, n: int) -> list[int]:
     return list(accumulate(repeat(x, n), mul, initial=1))
 
 
-def _bernstein(spec: PartitionSpec) -> tuple[list[int], Fraction]:
-    """(c, scale) of a two-class skeleton: its density is scale * F(x) with
-    F(x) = sum_j c_j x^j (1 - x)^(s - j) and coprime integers c_j >= 0."""
+def _bernstein(spec: PartitionSpec) -> tuple[list[int], Fraction, Fraction]:
+    """(c, scale, top) of a two-class skeleton: its density is scale * F(x)
+    with F(x) = sum_j c_j x^j (1 - x)^(s - j), coprime integers c_j >= 0,
+    and top = `_bernstein_max(c)`.
+
+    c_j is a positive multiple of alpha_j beta_(s-j), the two `class_poly`
+    coefficients, so it is nonzero exactly for j0 <= j <= j1 with
+    j0 = max(0, s - S_small) and j1 = min(s, S_large), S a class's vertex
+    count; only those entries are built. Their common factor
+    S_small^j0 S_large^(s-j1) is left out, and the gcd would remove it
+    anyway, so c and scale equal those built from all s + 1 entries.
+    """
     s = spec.s
     (n_large, k_large), (n_small, k_small) = spec.classes
-    pow_large = _powers(n_large * k_large, s)
-    pow_small = _powers(n_small * k_small, s)
-    alpha, e_large = class_poly(n_large, k_large, s)
-    beta, e_small = class_poly(n_small, k_small, s)
-    c = [
-        u * v * pow_small[j] * pow_large[s - j]
-        for j, (u, v) in enumerate(zip(alpha, reversed(beta)))
+    sum_large, sum_small = n_large * k_large, n_small * k_small
+    j0, j1 = max(0, s - sum_small), min(s, sum_large)
+    alpha, e_large = class_poly(n_large, k_large, s, j0)
+    beta, e_small = class_poly(n_small, k_small, s, s - j1)
+    pow_large = _powers(sum_large, j1 - j0)
+    pow_small = _powers(sum_small, j1 - j0)
+    core = [
+        u * v * pow_small[i] * pow_large[j1 - j0 - i]
+        for i, (u, v) in enumerate(zip(alpha, reversed(beta)))
     ]
-    g = gcd(*c) or 1  # F = 0 when the skeleton has fewer than s vertices
-    scale = Fraction(factorial(s) * g, (pow_large[s] * pow_small[s]) << (e_large + e_small))
-    return [x // g for x in c], scale
+    g = gcd(*core) or 1  # F = 0 when the skeleton has fewer than s vertices
+    c = [0] * (s + 1)
+    c[j0 : j1 + 1] = [x // g for x in core]
+    den = (sum_large**j1 * sum_small ** (s - j0)) << (e_large + e_small)
+    return c, Fraction(factorial(s) * g, den), _bernstein_max(c)
+
+
+def _support(c: list[int]) -> tuple[int, list[int], int]:
+    """(j0, core, tail) with c = [0] * j0 + core + [0] * tail and the ends
+    of core nonzero; core is empty if c is all zero. Then
+    sum_j c_j u^j v^(s-j) = u^j0 v^tail `_hom_eval(core, u, v)`."""
+    first = next(filter(None, c), 0)
+    if not first:
+        return len(c), [], 0
+    j0 = c.index(first)
+    j1 = len(c) - 1
+    while not c[j1]:
+        j1 -= 1
+    return j0, c[j0 : j1 + 1], len(c) - 1 - j1
+
+
+def _support_eval(support: tuple[int, list[int], int], x: Fraction) -> Fraction:
+    """F(x) for 0 <= x <= 1, from c's `_support`."""
+    j0, core, tail = support
+    p, q = x.numerator, x.denominator
+    return Fraction(p**j0 * (q - p) ** tail * _hom_eval(core, p, q - p), q ** (j0 + len(core) - 1 + tail))
 
 
 def _bernstein_max(c: list[int]) -> Fraction:
     """max_j c_j / C(s, j) >= F on [0, 1]: F is a convex combination of its
-    Bernstein coefficients c_j / C(s, j)."""
+    Bernstein coefficients c_j / C(s, j). Only the support of c is read."""
     s = len(c) - 1
-    num, den, binom = c[0], 1, 1  # binom = C(s, j), carried along j
-    for j, x in enumerate(c):
+    j0, core, _ = _support(c)
+    num, den, binom = 0, 1, comb(s, j0)  # binom = C(s, j), carried along j
+    for j, x in enumerate(core, j0):
         if x * den > num * binom:  # x / binom > num / den, on integers
             num, den = x, binom
         binom = binom * (s - j) // (j + 1)
@@ -308,37 +353,43 @@ class _CutOptimum(SpecOptimum):
         return bound_spec(self.spec).certified
 
 
-def bound_spec(spec: PartitionSpec, built: tuple[list[int], Fraction] | None = None) -> SpecOptimum:
+def bound_spec(
+    spec: PartitionSpec, built: tuple[list[int], Fraction, Fraction] | None = None
+) -> SpecOptimum:
     """An enclosure of one skeleton's supremum without root isolation.
 
     `certified` is the density at the uniform point and `upper` the
     Bernstein bound scale * max_j c_j / C(s, j). A single size class is
     exact, as in `optimize_spec`. `built` is the skeleton's `_bernstein`
-    (c, scale), if the caller has it.
+    (c, scale, top), if the caller has it.
     """
     if len(spec.classes) == 1:
         return optimize_spec(spec)
     (n_large, k_large), (n_small, k_small) = spec.classes
-    c, scale = built or _bernstein(spec)
-    uniform = Fraction(_hom_eval(c, n_large * k_large, n_small * k_small), spec.b**spec.s)
-    return SpecOptimum(spec, uniform_assignment(spec), scale * uniform, scale * _bernstein_max(c))
+    c, scale, top = built or _bernstein(spec)
+    uniform = _support_eval(_support(c), Fraction(n_large * k_large, spec.b))
+    return SpecOptimum(spec, uniform_assignment(spec), scale * uniform, scale * top)
 
 
-def _bracket_upper(c: list[int], scale: Fraction, best: Fraction) -> Fraction | None:
+def _bracket_upper(c: list[int], scale: Fraction, top: Fraction, best: Fraction) -> Fraction | None:
     """A bound below `best` on scale * F over [0, 1] from a coarse bracket of
     F's one peak, or None if no level of `BRACKET_LEVELS` settles it.
 
     Only an F whose nonzero d_j (see the module docstring) change sign
     once, from + to -, is tried: then F has one peak p, and
-    sup F <= F(l) + M 2^-k for l <= p <= l + 2^-k. At each level,
-    F(l) >= best / scale gives up, since the skeleton may win, and
-    F(l) + M 2^-k < best / scale is the bound returned.
+    sup F <= F(l) + M 2^-k for l <= p <= l + 2^-k, with M = s * top. At
+    each level, F(l) >= best / scale gives up, since the skeleton may win,
+    and F(l) + M 2^-k < best / scale is the bound returned. d_j is zero
+    outside j0 - 1 <= j <= s - tail for c's `_support` (j0, core, tail), so
+    the bisection evaluates only that core of d: the factor it leaves out
+    is positive on (0, 1).
     """
     s = len(c) - 1
-    d = [(j + 1) * c[j + 1] - (s - j) * c[j] for j in range(s)]
+    support = j0, _, tail = _support(c)
+    d = [(j + 1) * c[j + 1] - (s - j) * c[j] for j in range(max(j0 - 1, 0), min(s + 1 - tail, s))]
     if _sign_changes(d) != 1 or next(x for x in d if x) < 0:
         return None
-    slope = s * _bernstein_max(c)
+    slope = s * top
     target = best / scale
     a = k = 0  # p lies in [a / 2^k, (a + 1) / 2^k]
     for level in BRACKET_LEVELS:
@@ -346,7 +397,7 @@ def _bracket_upper(c: list[int], scale: Fraction, best: Fraction) -> Fraction | 
             a, k = 2 * a + 1, k + 1  # the midpoint; F' < 0 there puts p left of it
             if _hom_eval(d, a, (1 << k) - a) < 0:
                 a -= 1
-        at_left = Fraction(_hom_eval(c, a, (1 << k) - a), 1 << (k * s))
+        at_left = _support_eval(support, Fraction(a, 1 << k))
         if at_left >= target:
             return None
         bound = at_left + slope / (1 << k)
@@ -355,7 +406,39 @@ def _bracket_upper(c: list[int], scale: Fraction, best: Fraction) -> Fraction | 
     return None
 
 
-def optimize_spec(spec: PartitionSpec, built: tuple[list[int], Fraction] | None = None) -> SpecOptimum:
+def _critical_poly(support: tuple[int, list[int], int]) -> list[int]:
+    """F' with its roots at 0 and 1 divided out, in the power basis, from
+    c's `_support` (j0, core, tail); x and 1 - x are positive on (0, 1), so
+    it has the sign of F' there.
+
+    With F = x^j0 (1 - x)^tail G, G = sum_i core_i x^i (1 - x)^(n-i), the
+    polynomial H = j0 (1 - x) G - tail x G + x (1 - x) G' is
+    F' / (x^(j0-1) (1 - x)^(tail-1)); its coefficients are
+    H_i = (j0 + i) G_i - (s - n + i - 1) G_(i-1). Dividing out every root
+    of H at 0 and 1 leaves the same polynomial as dividing them out of F',
+    and only G, of degree n, is put in the power basis.
+    """
+    j0, core, tail = support
+    n = len(core) - 1
+    # G in the power basis, by Horner in 1 - x: G_i = G_(i-1) (1 - x) + core_i x^i
+    power = core[:1]
+    for i in range(1, n + 1):
+        power = [u - v for u, v in zip(power + [0], [0] + power)]
+        power[i] += core[i]
+    rest = j0 + tail - 1
+    h = [(j0 + i) * x - (rest + i) * y for i, (x, y) in enumerate(zip(power + [0], [0] + power))]
+    while h and h[-1] == 0:
+        h.pop()
+    if h:
+        h = h[next(i for i, x in enumerate(h) if x):]
+        while sum(h) == 0:  # h = (1 - x) * q with q_i = h_0 + ... + h_i
+            h = list(accumulate(h))[:-1]
+    return h
+
+
+def optimize_spec(
+    spec: PartitionSpec, built: tuple[list[int], Fraction, Fraction] | None = None
+) -> SpecOptimum:
     """Certified point and upper bound of the density over one skeleton.
 
     One size class forces the uniform assignment, and upper == certified.
@@ -364,7 +447,7 @@ def optimize_spec(spec: PartitionSpec, built: tuple[list[int], Fraction] | None 
     vertices; see the module docstring for the method. The returned
     assignment is always strictly positive: an endpoint limit that beats
     every interior point raises `upper`, never `certified`. `built` is the
-    skeleton's `_bernstein` (c, scale), if the caller has it.
+    skeleton's `_bernstein` (c, scale, top), if the caller has it.
     """
     s = spec.s
     if len(spec.classes) == 1:
@@ -375,22 +458,9 @@ def optimize_spec(spec: PartitionSpec, built: tuple[list[int], Fraction] | None 
     (n_large, k_large), (n_small, k_small) = spec.classes
     sum_large = n_large * k_large
     sum_small = n_small * k_small
-    c, scale = built or _bernstein(spec)
-
-    # F in the power basis, by Horner in 1 - x: F_j = F_{j-1} (1 - x) + c_j x^j
-    power = [c[0]]
-    for j in range(1, s + 1):
-        power = [u - v for u, v in zip(power + [0], [0] + power)]
-        power[j] += c[j]
-    # F' with its roots at 0 and 1 divided out; x and 1 - x are positive on
-    # (0, 1), so h has the sign of F' there
-    h = [m * x for m, x in enumerate(power)][1:]
-    while h and h[-1] == 0:
-        h.pop()
-    if h:
-        h = h[next(i for i, x in enumerate(h) if x):]
-        while sum(h) == 0:  # h = (1 - x) * q with q_i = h_0 + ... + h_i
-            h = list(accumulate(h))[:-1]
+    c, scale, top = built or _bernstein(spec)
+    support = _support(c)
+    h = _critical_poly(support)
     roots, peaks = _isolate(h) if len(h) > 1 else ([], [])
 
     intervals = []
@@ -405,20 +475,14 @@ def optimize_spec(spec: PartitionSpec, built: tuple[list[int], Fraction] | None 
         mid = Fraction(2 * a + 1, 1 << (k + 1))
         lo, hi = max(mid - eps, mid / 2), min(mid + eps, (1 + mid) / 2)
         candidates.add(_simplest_between(lo, hi))
-    best_f, best_x = max(
-        (Fraction(_hom_eval(power, x.numerator, x.denominator), x.denominator**s), x)
-        for x in candidates
-    )
+    best_f, best_x = max((_support_eval(support, x), x) for x in candidates)
 
     # the supremum is F(0) or F(1), the limits with one class deleted, or a
     # maximum at an exact root (<= best_f) or inside one of the intervals
-    slope = s * _bernstein_max(c)  # >= |F'|
+    slope = s * top  # >= |F'|
     upper = max(
         [best_f, Fraction(c[0]), Fraction(c[s])]
-        + [
-            Fraction(_dyadic_eval(power, a, k), 1 << (k * s)) + slope / (1 << k)
-            for a, k in intervals
-        ]
+        + [_support_eval(support, Fraction(a, 1 << k)) + slope / (1 << k) for a, k in intervals]
     )
     weights = (best_x / sum_large, (1 - best_x) / sum_small)
     return SpecOptimum(spec, weights, scale * best_f, scale * upper)

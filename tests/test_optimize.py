@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -258,18 +259,78 @@ def test_every_skeleton_has_at_most_one_peak():
     assert skeletons == 11181
 
 
+def test_bernstein_is_built_on_its_support():
+    # c_j > 0 exactly for max(0, s - S_small) <= j <= min(s, S_large), on
+    # every two-class skeleton of the sweep above
+    for s in range(3, 21):
+        for t in range(s + 2, 4 * s + 12):
+            for spec in enumerate_specs(s, t):
+                if len(spec.classes) == 2:
+                    (n_large, k_large), (n_small, k_small) = spec.classes
+                    c, _, top = optimize._bernstein(spec)
+                    j0, j1 = max(0, s - n_small * k_small), min(s, n_large * k_large)
+                    assert [j for j, x in enumerate(c) if x] == list(range(j0, j1 + 1)), spec
+                    assert top == optimize._bernstein_max(c)
+
+
+def critical_poly_reference(c):
+    """F' in the power basis from all of c, with its roots at 0 and 1
+    divided out."""
+    s = len(c) - 1
+    power = [c[0]]  # F by Horner in 1 - x
+    for j in range(1, s + 1):
+        power = [u - v for u, v in zip(power + [0], [0] + power)]
+        power[j] += c[j]
+    h = [m * x for m, x in enumerate(power)][1:]
+    while h and h[-1] == 0:
+        h.pop()
+    if h:
+        h = h[next(i for i, x in enumerate(h) if x) :]
+        while sum(h) == 0:
+            h = list(itertools.accumulate(h))[:-1]
+    return h
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.integers(0, 12),
+    st.lists(st.integers(0, 10**12), max_size=20),
+    st.integers(0, 12),
+    st.integers(1, 10**6),
+    st.integers(1, 10**6),
+)
+@example(0, [], 0, 1, 1)
+@example(2, [0, 0], 1, 3, 5)
+@example(1, [1, 1], 0, 1, 1)  # F = x (1 - x) + x^2 = x
+@example(0, [1, 1], 0, 2, 3)  # F = 1: F' = 0
+def test_support_matches_the_full_coefficients(zeros, core, tail, u, v):
+    c = [0] * zeros + core + [0] * tail
+    if not c:
+        return
+    support = j0, kept, rest = optimize._support(c)
+    assert c == [0] * j0 + kept + [0] * rest and (not kept or kept[0] and kept[-1])
+    x = F(u, u + v)
+    assert optimize._support_eval(support, x) == F(optimize._hom_eval(c, u, v), (u + v) ** (len(c) - 1))
+    assert optimize._critical_poly(support) == critical_poly_reference(c)
+
+
+def bracket_upper(c, best):
+    """`_bracket_upper` of F = sum_j c_j x^j (1 - x)^(s-j) with scale 1."""
+    return optimize._bracket_upper(c, F(1), optimize._bernstein_max(c), best)
+
+
 def test_bracket_stage_cuts_no_other_sign_pattern():
     # F = 3x(1 - x)^2 + 3x^3 is at most 3, yet d = [3, -6, 9] changes sign
     # twice, so no best, however large, lets the bracket stage cut it
     c = [0, 3, 0, 3]
     assert bernstein_derivative(c) == [3, -6, 9]
     for best in (F(1, 100), F(1), F(10), F(10**6)):
-        assert optimize._bracket_upper(c, F(1), best) is None
+        assert bracket_upper(c, best) is None
     # a valley (d from - to +) and a monotone F are not tried either
     for c in ([3, 0, 0, 3], [0, 0, 0, 1], [1, 0, 0, 0]):
-        assert optimize._bracket_upper(c, F(1), F(10**6)) is None
+        assert bracket_upper(c, F(10**6)) is None
     # one peak is cut once a bracket settles it
-    assert optimize._bracket_upper([0, 3, 0, 0], F(1), F(10**6)) < F(10**6)
+    assert bracket_upper([0, 3, 0, 0], F(10**6)) < F(10**6)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -392,9 +453,9 @@ def test_enclosure_on_random_two_class_skeletons(spec, points):
 def test_bracket_upper_encloses_the_full_upper(spec, e):
     # a bracket cut is below best and above everything the full optimization
     # can certify or bound
-    c, scale = optimize._bernstein(spec)
+    built = optimize._bernstein(spec)
     full = optimize_spec(spec)
     best = full.upper * (1 + F(1, 2**e) if e >= 0 else 1 - F(1, 2**-e))
-    upper = optimize._bracket_upper(c, scale, best)
+    upper = optimize._bracket_upper(*built, best)
     if upper is not None:
         assert full.upper <= upper < best

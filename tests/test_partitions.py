@@ -22,6 +22,7 @@ from rtdensity import (
     validate,
 )
 from rtdensity.partitions import (
+    _mul_trunc,
     assignment_to_dict,
     class_poly,
     parts_graph,
@@ -274,14 +275,15 @@ def test_parts_kernel_matches_graph(parts, s):
 
 
 def check_class_poly(size, counts, ss):
-    """class_poly(size, count, s) against factor^count expanded in Fractions."""
+    """class_poly(size, count, s) against factor^count expanded in Fractions:
+    every coefficient up to the true degree min(s, size * count)."""
     factor = [F(comb(size, m), 2 ** comb(m, 2)) for m in range(size + 1)]
     full = [F(1)]  # factor^count, untruncated
     for count in counts:
         for s in ss:
             c, e = class_poly(size, count, s)
-            assert len(c) == s + 1 and all(isinstance(x, int) for x in c)
-            assert [F(x, 2**e) for x in c] == (full + [F(0)] * s)[: s + 1], (size, count, s)
+            assert len(c) == min(s, size * count) + 1 and all(isinstance(x, int) for x in c)
+            assert [F(x, 2**e) for x in c] == full[: s + 1], (size, count, s)
         full = [
             sum(full[i] * factor[j - i] for i in range(len(full)) if 0 <= j - i <= size)
             for j in range(len(full) + size)
@@ -297,6 +299,24 @@ def test_class_poly_matches_fraction_expansion():
     # one part larger than s: the base alone, truncated
     for size in range(2, 25):
         check_class_poly(size, range(2), range(size))
+
+
+def test_class_poly_from_either_end_matches_repeated_products():
+    # base^count by repeated truncated products, against class_poly's
+    # coefficients y^lo .. y^hi: lo = 0 is read from the bottom, and lo = hi
+    # from the top whenever that end is nearer
+    for size in range(1, 9):
+        for s in range(61):
+            d = min(size, s)
+            e = comb(d, 2)
+            base = [comb(size, m) << (e - comb(m, 2)) for m in range(d + 1)]
+            power = [1]
+            for count in range(31):
+                hi = min(s, size * count)
+                assert len(power) == hi + 1 and all(power)
+                for lo in {0, hi // 2, hi}:
+                    assert class_poly(size, count, s, lo) == (power[lo:], e * count), (size, count, s, lo)
+                power = _mul_trunc(power, base, s)
 
 
 def test_parts_total_matches_enumeration():
