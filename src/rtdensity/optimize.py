@@ -304,7 +304,8 @@ def _support_eval(support: tuple[int, list[int], int], x: Fraction) -> Fraction:
     """F(x) for 0 <= x <= 1, from c's `_support`."""
     j0, core, tail = support
     p, q = x.numerator, x.denominator
-    return Fraction(p**j0 * (q - p) ** tail * _hom_eval(core, p, q - p), q ** (j0 + len(core) - 1 + tail))
+    s = j0 + len(core) - 1 + tail
+    return Fraction(p**j0 * (q - p) ** tail * _hom_eval(core, p, q - p), q**s)
 
 
 def _bernstein_max(c: list[int]) -> Fraction:
