@@ -28,7 +28,8 @@ All of this runs on the support of c: c_j > 0 exactly for
 j0 = max(0, s - S_small) <= j <= min(s, S_large), S a class's vertex count,
 and c_j = 0 elsewhere. With tail = s - min(s, S_large), F = x^j0 (1 - x)^tail G
 for G with the coefficients core = c[j0 : s + 1 - tail], so
-sum_j c_j u^j v^(s-j) = u^j0 v^tail `_hom_eval(core, u, v)`, the bounds
+sum_j c_j u^j v^(s-j) = u^j0 v^tail `_hom_eval(core, u, v)`. `_bernstein`
+builds only the core and hands on the support (j0, core, tail); the bounds
 below read only the core, and only G is put in the power basis
 (`_critical_poly`). Past the crossover the core is often under half of c.
 Every integer computed is the one the full c gives, so results are the
@@ -96,11 +97,14 @@ from .partitions import (
     spec_density,
     uniform_assignment,
 )
-from .weighted import ONE
+from .weighted import ONE, ZERO
 
 REFINE_BITS = 64  # refined maxima and unseparated root clusters are 2^-64 wide
 SNAP_BITS = 40  # certify the simplest rational within 2^-40 of each maximum
 BRACKET_LEVELS = (10, 14, 18, 24)  # the audit tries a cut at peak brackets 2^-k wide
+
+# (j0, core, tail) stands for the Bernstein coefficients c = [0] * j0 + core + [0] * tail
+_Support = tuple[int, list[int], int]
 
 
 @dataclass(frozen=True)
@@ -255,64 +259,55 @@ def _powers(x: int, n: int) -> list[int]:
     return list(accumulate(repeat(x, n), mul, initial=1))
 
 
-def _bernstein(spec: PartitionSpec) -> tuple[list[int], Fraction, Fraction]:
-    """(c, scale, top) of a two-class skeleton: its density is scale * F(x)
-    with F(x) = sum_j c_j x^j (1 - x)^(s - j), coprime integers c_j >= 0,
-    and top = `_bernstein_max(c)`.
+def _bernstein(spec: PartitionSpec) -> tuple[_Support, Fraction, Fraction]:
+    """(support, scale, top) of a two-class skeleton: its density is
+    scale * F(x) with F(x) = sum_j c_j x^j (1 - x)^(s - j), coprime integers
+    c_j >= 0 given by support = (j0, core, tail), and top = `_bernstein_max`.
 
     c_j is a positive multiple of alpha_j beta_(s-j), the two `class_poly`
     coefficients, so it is nonzero exactly for j0 <= j <= j1 with
-    j0 = max(0, s - S_small) and j1 = min(s, S_large), S a class's vertex
-    count; only those entries are built. Their common factor
+    j0 = max(0, s - S_small) and j1 = min(s, S_large) = s - tail, S a class's
+    vertex count; only those entries are formed. Their common factor
     S_small^j0 S_large^(s-j1) is left out, and the gcd would remove it
-    anyway, so c and scale equal those built from all s + 1 entries.
+    anyway, so c and scale equal those built from all s + 1 entries. A
+    skeleton with fewer than s vertices has j0 > j1 and F = 0: its core is
+    then s + 1 zeros.
     """
     s = spec.s
     (n_large, k_large), (n_small, k_small) = spec.classes
     sum_large, sum_small = n_large * k_large, n_small * k_small
     j0, j1 = max(0, s - sum_small), min(s, sum_large)
-    alpha, e_large = class_poly(n_large, k_large, s, j0)
-    beta, e_small = class_poly(n_small, k_small, s, s - j1)
+    if j0 > j1:
+        return (0, [0] * (s + 1), 0), ONE, ZERO
+    # class_poly stops at the true degree, so alpha ends at y^j1, beta at y^(s-j0)
+    alpha, e_large = class_poly(n_large, k_large, s)
+    beta, e_small = class_poly(n_small, k_small, s)
     pow_large = _powers(sum_large, j1 - j0)
     pow_small = _powers(sum_small, j1 - j0)
     core = [
         u * v * pow_small[i] * pow_large[j1 - j0 - i]
-        for i, (u, v) in enumerate(zip(alpha, reversed(beta)))
+        for i, (u, v) in enumerate(zip(alpha[j0:], reversed(beta[s - j1 :])))
     ]
-    g = gcd(*core) or 1  # F = 0 when the skeleton has fewer than s vertices
-    c = [0] * (s + 1)
-    c[j0 : j1 + 1] = [x // g for x in core]
+    g = gcd(*core)
+    support = j0, [x // g for x in core], s - j1
     den = (sum_large**j1 * sum_small ** (s - j0)) << (e_large + e_small)
-    return c, Fraction(factorial(s) * g, den), _bernstein_max(c)
+    return support, Fraction(factorial(s) * g, den), _bernstein_max(support)
 
 
-def _support(c: list[int]) -> tuple[int, list[int], int]:
-    """(j0, core, tail) with c = [0] * j0 + core + [0] * tail and the ends
-    of core nonzero; core is empty if c is all zero. Then
-    sum_j c_j u^j v^(s-j) = u^j0 v^tail `_hom_eval(core, u, v)`."""
-    first = next(filter(None, c), 0)
-    if not first:
-        return len(c), [], 0
-    j0 = c.index(first)
-    j1 = len(c) - 1
-    while not c[j1]:
-        j1 -= 1
-    return j0, c[j0 : j1 + 1], len(c) - 1 - j1
-
-
-def _support_eval(support: tuple[int, list[int], int], x: Fraction) -> Fraction:
-    """F(x) for 0 <= x <= 1, from c's `_support`."""
+def _support_eval(support: _Support, x: Fraction) -> Fraction:
+    """F(x) for 0 <= x <= 1 from c's support: u^j0 v^tail `_hom_eval(core, u, v)`
+    over the denominator q^s of x = u / q, with v = q - u."""
     j0, core, tail = support
     p, q = x.numerator, x.denominator
     s = j0 + len(core) - 1 + tail
     return Fraction(p**j0 * (q - p) ** tail * _hom_eval(core, p, q - p), q**s)
 
 
-def _bernstein_max(c: list[int]) -> Fraction:
+def _bernstein_max(support: _Support) -> Fraction:
     """max_j c_j / C(s, j) >= F on [0, 1]: F is a convex combination of its
-    Bernstein coefficients c_j / C(s, j). Only the support of c is read."""
-    s = len(c) - 1
-    j0, core, _ = _support(c)
+    Bernstein coefficients c_j / C(s, j). Only the core of c is read."""
+    j0, core, tail = support
+    s = j0 + len(core) - 1 + tail
     num, den, binom = 0, 1, comb(s, j0)  # binom = C(s, j), carried along j
     for j, x in enumerate(core, j0):
         if x * den > num * binom:  # x / binom > num / den, on integers
@@ -355,24 +350,26 @@ class _CutOptimum(SpecOptimum):
 
 
 def bound_spec(
-    spec: PartitionSpec, built: tuple[list[int], Fraction, Fraction] | None = None
+    spec: PartitionSpec, built: tuple[_Support, Fraction, Fraction] | None = None
 ) -> SpecOptimum:
     """An enclosure of one skeleton's supremum without root isolation.
 
     `certified` is the density at the uniform point and `upper` the
     Bernstein bound scale * max_j c_j / C(s, j). A single size class is
     exact, as in `optimize_spec`. `built` is the skeleton's `_bernstein`
-    (c, scale, top), if the caller has it.
+    (support, scale, top), if the caller has it.
     """
     if len(spec.classes) == 1:
         return optimize_spec(spec)
     (n_large, k_large), (n_small, k_small) = spec.classes
-    c, scale, top = built or _bernstein(spec)
-    uniform = _support_eval(_support(c), Fraction(n_large * k_large, spec.b))
+    support, scale, top = built or _bernstein(spec)
+    uniform = _support_eval(support, Fraction(n_large * k_large, spec.b))
     return SpecOptimum(spec, uniform_assignment(spec), scale * uniform, scale * top)
 
 
-def _bracket_upper(c: list[int], scale: Fraction, top: Fraction, best: Fraction) -> Fraction | None:
+def _bracket_upper(
+    support: _Support, scale: Fraction, top: Fraction, best: Fraction
+) -> Fraction | None:
     """A bound below `best` on scale * F over [0, 1] from a coarse bracket of
     F's one peak, or None if no level of `BRACKET_LEVELS` settles it.
 
@@ -381,13 +378,17 @@ def _bracket_upper(c: list[int], scale: Fraction, top: Fraction, best: Fraction)
     sup F <= F(l) + M 2^-k for l <= p <= l + 2^-k, with M = s * top. At
     each level, F(l) >= best / scale gives up, since the skeleton may win,
     and F(l) + M 2^-k < best / scale is the bound returned. d_j is zero
-    outside j0 - 1 <= j <= s - tail for c's `_support` (j0, core, tail), so
+    outside j0 - 1 <= j <= s - tail for c's support (j0, core, tail), so
     the bisection evaluates only that core of d: the factor it leaves out
     is positive on (0, 1).
     """
-    s = len(c) - 1
-    support = j0, _, tail = _support(c)
-    d = [(j + 1) * c[j + 1] - (s - j) * c[j] for j in range(max(j0 - 1, 0), min(s + 1 - tail, s))]
+    j0, core, tail = support
+    s = j0 + len(core) - 1 + tail
+    near = [0, *core, 0]  # c_(j0-1) .. c_(s-tail+1)
+    d = [
+        (j + 1) * near[j - j0 + 2] - (s - j) * near[j - j0 + 1]
+        for j in range(max(j0 - 1, 0), min(s + 1 - tail, s))
+    ]
     if _sign_changes(d) != 1 or next(x for x in d if x) < 0:
         return None
     slope = s * top
@@ -407,9 +408,9 @@ def _bracket_upper(c: list[int], scale: Fraction, top: Fraction, best: Fraction)
     return None
 
 
-def _critical_poly(support: tuple[int, list[int], int]) -> list[int]:
+def _critical_poly(support: _Support) -> list[int]:
     """F' with its roots at 0 and 1 divided out, in the power basis, from
-    c's `_support` (j0, core, tail); x and 1 - x are positive on (0, 1), so
+    c's support (j0, core, tail); x and 1 - x are positive on (0, 1), so
     it has the sign of F' there.
 
     With F = x^j0 (1 - x)^tail G, G = sum_i core_i x^i (1 - x)^(n-i), the
@@ -438,7 +439,7 @@ def _critical_poly(support: tuple[int, list[int], int]) -> list[int]:
 
 
 def optimize_spec(
-    spec: PartitionSpec, built: tuple[list[int], Fraction, Fraction] | None = None
+    spec: PartitionSpec, built: tuple[_Support, Fraction, Fraction] | None = None
 ) -> SpecOptimum:
     """Certified point and upper bound of the density over one skeleton.
 
@@ -448,7 +449,7 @@ def optimize_spec(
     vertices; see the module docstring for the method. The returned
     assignment is always strictly positive: an endpoint limit that beats
     every interior point raises `upper`, never `certified`. `built` is the
-    skeleton's `_bernstein` (c, scale, top), if the caller has it.
+    skeleton's `_bernstein` (support, scale, top), if the caller has it.
     """
     s = spec.s
     if len(spec.classes) == 1:
@@ -459,8 +460,7 @@ def optimize_spec(
     (n_large, k_large), (n_small, k_small) = spec.classes
     sum_large = n_large * k_large
     sum_small = n_small * k_small
-    c, scale, top = built or _bernstein(spec)
-    support = _support(c)
+    support, scale, top = built or _bernstein(spec)
     h = _critical_poly(support)
     roots, peaks = _isolate(h) if len(h) > 1 else ([], [])
 
@@ -482,7 +482,7 @@ def optimize_spec(
     # maximum at an exact root (<= best_f) or inside one of the intervals
     slope = s * top  # >= |F'|
     upper = max(
-        [best_f, Fraction(c[0]), Fraction(c[s])]
+        [best_f, _support_eval(support, ZERO), _support_eval(support, ONE)]
         + [_support_eval(support, Fraction(a, 1 << k)) + slope / (1 << k) for a, k in intervals]
     )
     weights = (best_x / sum_large, (1 - best_x) / sum_small)
@@ -541,8 +541,8 @@ def audit_conjecture(s: int, t: int) -> AuditReport:
     for i in sorted(range(1, len(specs)), key=bounds.__getitem__, reverse=True):
         if bounds[i] < best:
             break
-        # the (c, scale) of a two-class skeleton is built once, for its
-        # Bernstein bound and, if it survives that, its full optimization
+        # the `_bernstein` of a two-class skeleton is built once, for its
+        # Bernstein bound, its peak bracket and its full optimization
         built = _bernstein(specs[i]) if len(specs[i].classes) == 2 else None
         opt = bound_spec(specs[i], built)
         if opt.upper >= best and opt.upper > opt.certified:

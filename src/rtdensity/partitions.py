@@ -152,42 +152,33 @@ def _mul_trunc(a: list[int], b: list[int], s: int) -> list[int]:
     return out
 
 
-def class_poly(size: int, count: int, s: int, lo: int = 0) -> tuple[list[int], int]:
+def class_poly(size: int, count: int, s: int) -> tuple[list[int], int]:
     """(sum_m C(size,m) 2^(-C(m,2)) y^m)^count, truncated at y^s, as (c, E).
 
-    c holds the coefficients of y^lo .. y^hi, hi = min(s, size * count), the
-    true degree: every coefficient in between is positive and every one past
-    hi is zero. The true coefficient of y^(lo + i) is c[i] / 2^E, with
+    c holds the coefficients of y^0 .. y^hi, hi = min(s, size * count), the
+    true degree: every one of them is positive and every coefficient past
+    hi is zero. The true coefficient of y^j is c[j] / 2^E, with
     E = C(min(size, s), 2) * count. The per-vertex weight w is factored out:
     the z^j coefficient of `count` equal parts of weight w in the density
-    generating product is c[j - lo] * w^j / 2^E.
-
-    A caller that needs only y^lo .. y^hi, as `optimize._bernstein` does for
-    the support of a two-class skeleton, passes lo. When size <= s the same
-    integers are read from the top of P = base^count if that end is nearer:
-    base reversed starts with 1, and its count-th power lists P from y^top
-    down, so the coefficients, and E, do not depend on the end used.
+    generating product is c[j] * w^j / 2^E.
     """
     hi = min(s, size * count)
     if size == 1:  # (1 + y)^count: no pair inside a part of size 1
-        return [comb(count, j) for j in range(lo, hi + 1)], 0
+        return [comb(count, j) for j in range(hi + 1)], 0
     d = min(size, s)
     e = comb(d, 2)
     base = [comb(size, m) << (e - comb(m, 2)) for m in range(d + 1)]
     if count <= 1:
-        return (base if count else [1])[lo : hi + 1], e * count
+        return base if count else [1], e * count
     # J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7): for
     # P = base^count, base * P' = count * base' * P gives each coefficient
-    # from the ones before it, and the division by j * base[0], with
-    # base[0] = 2^shift, is exact
-    top = size * count
-    from_top = size <= s and top - lo < hi
-    base, shift, n = (base[::-1], 0, top - lo) if from_top else (base, e, hi)
-    c = [base[0] ** count]
-    for j in range(1, n + 1):
+    # from the ones before it, and the division by j * base[0] = j * 2^e is
+    # exact
+    c = [1 << (e * count)]
+    for j in range(1, hi + 1):
         acc = sum((k * (count + 1) - j) * base[k] * c[j - k] for k in range(1, min(j, d) + 1))
-        c.append((acc >> shift) // j)
-    return (c[top - hi :][::-1] if from_top else c[lo:]), e * count
+        c.append((acc >> e) // j)
+    return c, e * count
 
 
 def parts_density(parts: Sequence[tuple[int, RationalLike]], s: int) -> Fraction:

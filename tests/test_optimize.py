@@ -238,6 +238,13 @@ def test_bracket_stage_leaves_three_full_optimizations(monkeypatch):
         assert rep.result.per_spec[rep.result.best_index].spec in full
 
 
+def bernstein_coefficients(spec):
+    """All s + 1 coefficients c_j of a two-class skeleton's F, from the
+    support (j0, core, tail) that `_bernstein` returns."""
+    j0, core, tail = optimize._bernstein(spec)[0]
+    return [0] * j0 + core + [0] * tail
+
+
 def bernstein_derivative(c):
     """d with F' = sum_j d_j x^j (1 - x)^(s-1-j) for F = sum_j c_j x^j (1 - x)^(s-j)."""
     s = len(c) - 1
@@ -252,7 +259,7 @@ def test_every_skeleton_has_at_most_one_peak():
         for t in range(s + 2, 4 * s + 12):
             for spec in enumerate_specs(s, t):
                 if len(spec.classes) == 2:
-                    d = bernstein_derivative(optimize._bernstein(spec)[0])
+                    d = bernstein_derivative(bernstein_coefficients(spec))
                     changes = optimize._sign_changes(d)
                     assert changes == 0 or (changes == 1 and next(x for x in d if x) > 0), spec
                     skeletons += 1
@@ -267,10 +274,11 @@ def test_bernstein_is_built_on_its_support():
             for spec in enumerate_specs(s, t):
                 if len(spec.classes) == 2:
                     (n_large, k_large), (n_small, k_small) = spec.classes
-                    c, _, top = optimize._bernstein(spec)
-                    j0, j1 = max(0, s - n_small * k_small), min(s, n_large * k_large)
-                    assert [j for j, x in enumerate(c) if x] == list(range(j0, j1 + 1)), spec
-                    assert top == optimize._bernstein_max(c)
+                    (j0, core, tail), _, top = optimize._bernstein(spec)
+                    assert j0 == max(0, s - n_small * k_small), spec
+                    assert s - tail == min(s, n_large * k_large) and all(core), spec
+                    c = [0] * j0 + core + [0] * tail
+                    assert top == max(F(x, math.comb(s, j)) for j, x in enumerate(c))
 
 
 def critical_poly_reference(c):
@@ -307,16 +315,17 @@ def test_support_matches_the_full_coefficients(zeros, core, tail, u, v):
     c = [0] * zeros + core + [0] * tail
     if not c:
         return
-    support = j0, kept, rest = optimize._support(c)
-    assert c == [0] * j0 + kept + [0] * rest and (not kept or kept[0] and kept[-1])
+    support, full = (zeros, core, tail), (0, c, 0)
     x = F(u, u + v)
     assert optimize._support_eval(support, x) == F(optimize._hom_eval(c, u, v), (u + v) ** (len(c) - 1))
     assert optimize._critical_poly(support) == critical_poly_reference(c)
+    assert optimize._bernstein_max(support) == optimize._bernstein_max(full)
 
 
 def bracket_upper(c, best):
     """`_bracket_upper` of F = sum_j c_j x^j (1 - x)^(s-j) with scale 1."""
-    return optimize._bracket_upper(c, F(1), optimize._bernstein_max(c), best)
+    support = (0, c, 0)  # a core may hold zeros at its ends
+    return optimize._bracket_upper(support, F(1), optimize._bernstein_max(support), best)
 
 
 def test_bracket_stage_cuts_no_other_sign_pattern():
@@ -339,7 +348,7 @@ def test_bracket_stage_cuts_no_other_sign_pattern():
 @example([5, 0, 0])
 def test_bernstein_max_matches_fraction_reference(c):
     s = len(c) - 1
-    assert optimize._bernstein_max(c) == max(F(x, math.comb(s, j)) for j, x in enumerate(c))
+    assert optimize._bernstein_max((0, c, 0)) == max(F(x, math.comb(s, j)) for j, x in enumerate(c))
 
 
 def simplest_between_reference(lo, hi):
@@ -436,6 +445,9 @@ def two_class_specs(draw):
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(two_class_specs(), st.lists(st.fractions(0, 1), min_size=1, max_size=4))
+# fewer than s vertices: c is zero, and j0 = s - 4 passes j1 = 6
+@example(PartitionSpec(11, 15, 10, 4, ((3, 2), (2, 2))), [F(1, 2)])
+@example(PartitionSpec(12, 15, 10, 4, ((3, 2), (2, 2))), [F(1, 3)])
 def test_enclosure_on_random_two_class_skeletons(spec, points):
     s = spec.s
     opt = optimize_spec(spec)
@@ -450,6 +462,7 @@ def test_enclosure_on_random_two_class_skeletons(spec, points):
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(two_class_specs(), st.integers(-30, 30))
+@example(PartitionSpec(11, 15, 10, 4, ((3, 2), (2, 2))), 0)
 def test_bracket_upper_encloses_the_full_upper(spec, e):
     # a bracket cut is below best and above everything the full optimization
     # can certify or bound
