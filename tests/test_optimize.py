@@ -279,6 +279,10 @@ def test_bernstein_is_built_on_its_support():
                     assert s - tail == min(s, n_large * k_large) and all(core), spec
                     c = [0] * j0 + core + [0] * tail
                     assert top == max(F(x, math.comb(s, j)) for j, x in enumerate(c))
+    # with fewer than s vertices, j0 > j1 and c is s + 1 zeros
+    for s in (11, 12):
+        (j0, core, tail), _, top = optimize._bernstein(PartitionSpec(s, 15, 10, 4, ((3, 2), (2, 2))))
+        assert [0] * j0 + core + [0] * tail == [0] * (s + 1) and top == 0
 
 
 def critical_poly_reference(c):
