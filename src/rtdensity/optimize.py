@@ -295,8 +295,8 @@ def _bernstein(spec: PartitionSpec) -> tuple[_Support, Fraction, Fraction]:
 
 
 def _support_eval(support: _Support, x: Fraction) -> Fraction:
-    """F(x) for 0 <= x <= 1 from c's support: u^j0 v^tail `_hom_eval(core, u, v)`
-    over the denominator q^s of x = u / q, with v = q - u."""
+    """F(x) for 0 <= x <= 1 from c's support: for x = p / q,
+    p^j0 (q - p)^tail `_hom_eval(core, p, q - p)` / q^s."""
     j0, core, tail = support
     p, q = x.numerator, x.denominator
     s = j0 + len(core) - 1 + tail
