@@ -13,28 +13,22 @@ audit skeleton count over its limit, prints one `refused:` line.
 from __future__ import annotations
 
 import functools
+import importlib
 import sys
 from typing import TYPE_CHECKING
 
 import click
 
-from .freeness import is_ckt_free, max_weighted_clique_score
-from .optimize import audit_conjecture, rho
-from .partitions import assignment_to_dict, parts_total, spec_count
 from .rationals import format_fraction, parse_fraction
 from .serialize import csv_text, dumps, exact_float, float15, table
-from .verify import (
-    NoFreeGraphError,
-    SearchConfig,
-    basis_coefficients,
-    brute_force_extremal,
-    check_structure,
-    search_space_size,
-)
-from .weighted import EnumerationLimitError, GraphFormatError, graph_to_dict, load_graph, validate
+from .weighted import EnumerationLimitError, GraphFormatError, NoFreeGraphError, graph_to_dict, load_graph, validate
 
 if TYPE_CHECKING:
+    from .freeness import is_ckt_free, max_weighted_clique_score
+    from .optimize import audit_conjecture, rho
+    from .partitions import assignment_to_dict, parts_total, spec_count
     from .sphere import BEConfig, graph_stats, realize
+    from .verify import SearchConfig, basis_coefficients, brute_force_extremal, check_structure, search_space_size
 
 # part sizes density prints, partitions.parts_total(s, t); s = 5 admits t <= 3086
 DENSITY_SIZE_LIMIT = 10**6
@@ -42,22 +36,30 @@ DENSITY_SIZE_LIMIT = 10**6
 # audit --s 60 --t-min 62 --t-max 370 has 31,317
 AUDIT_SKELETON_LIMIT = 10**6
 
-# The sphere layer imports numpy, which takes longer to load than every other
-# command needs, so only `realize` loads it. The benchmark tracer patches
-# `realize` and `graph_stats` here by name, so a name already bound is kept.
-_SPHERE_NAMES = ("BEConfig", "graph_stats", "realize")
+# The engine layers each command runs, and the names it calls in them. A
+# command loads its layers first, so importing this module loads none of them
+# (`sphere` imports numpy). The benchmark tracer patches some of these names
+# here, so a name already bound is kept.
+_LAYERS = {
+    "freeness": ("is_ckt_free", "max_weighted_clique_score"),
+    "optimize": ("audit_conjecture", "rho"),
+    "partitions": ("assignment_to_dict", "parts_total", "spec_count"),
+    "sphere": ("BEConfig", "graph_stats", "realize"),
+    "verify": ("SearchConfig", "basis_coefficients", "brute_force_extremal", "check_structure", "search_space_size"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
 
 
-def _load_sphere() -> None:
-    from . import sphere
-
-    for name in _SPHERE_NAMES:
-        globals().setdefault(name, getattr(sphere, name))
+def _load_layers(*layers: str) -> None:
+    for layer in layers:
+        module = importlib.import_module(f"{__package__}.{layer}")
+        for name in _LAYERS[layer]:
+            globals().setdefault(name, getattr(module, name))
 
 
 def __getattr__(name: str):
-    if name in _SPHERE_NAMES:
-        _load_sphere()
+    if name in _LAYER_OF:
+        _load_layers(_LAYER_OF[name])
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -156,6 +158,7 @@ def _cells(entry: dict, header: list[str]) -> list:
 @click.option("--t", "t", type=int, required=True, help="Forbidden clique parameter.")
 def density(s, t):
     """Maximize the K_s-density over admissible partition skeletons."""
+    _load_layers("partitions", "optimize")
     sizes = parts_total(s, t)
     if sizes > DENSITY_SIZE_LIMIT:
         raise EnumerationLimitError(f"{sizes} part sizes to print exceed the limit of {DENSITY_SIZE_LIMIT}")
@@ -197,6 +200,7 @@ def density(s, t):
 @click.option("--t-max", type=int, required=True)
 def audit(s, t_min, t_max):
     """Compare the observed best b against max(s, floor(t/2)) for each t."""
+    _load_layers("partitions", "optimize")
     if t_max < t_min:
         raise click.UsageError("--t-max must be at least --t-min")
     # every t has at least one skeleton, so this loop stops within
@@ -232,6 +236,7 @@ def audit(s, t_min, t_max):
 @click.option("--t", "t", type=int, required=True)
 def check(graph_path, t):
     """Decide weighted t-clique freeness of a graph file; report witnesses."""
+    _load_layers("freeness")
     g = _load(graph_path)
     res = is_ckt_free(g, t)
     payload = {
@@ -258,6 +263,7 @@ def check(graph_path, t):
 @click.option("--alphabet", type=str, default="1/2,1", show_default=True, help="Comma-separated edge weights.")
 def search(n, s, t, denominator, alphabet):
     """Brute-force the best t-free graph on a discrete weight grid."""
+    _load_layers("verify")
     letters = tuple(parse_fraction(x) for x in alphabet.split(","))
     cfg = SearchConfig(n, denominator, letters, s, t)
     result = brute_force_extremal(cfg)
@@ -287,6 +293,7 @@ def search(n, s, t, denominator, alphabet):
 @click.option("--m", "m", type=int, required=True)
 def coeffs(m):
     """Basis coefficients of the two-part K_m-density decomposition."""
+    _load_layers("verify")
     cs = basis_coefficients(m)
     entries = [{"r": r, "exact": format_fraction(c), "float": float(c)} for r, c in enumerate(cs)]
     payload = {"command": "coeffs", "m": m, "coefficients": entries, "all_positive": all(c > 0 for c in cs)}
@@ -301,6 +308,7 @@ def coeffs(m):
 @click.option("--t", "t", type=click.IntRange(min=1), required=True)
 def structure(graph_path, s, t):
     """Evaluate the extremal-structure predicates A1-A5 on a graph file."""
+    _load_layers("verify")
     g = _load(graph_path)
     rep = check_structure(g, s, t)
     payload = {
@@ -334,7 +342,7 @@ def structure(graph_path, s, t):
 @click.option("--clique-budget", type=int, default=100, show_default=True, help="Vertex count up to which omega is searched to the end and alpha is computed exactly.")
 def realize_cmd(graph_path, n_total, epsilon, h, seed, out_path, s, t, clique_budget):
     """Realize a weighted graph as a concrete sphere-point graph."""
-    _load_sphere()
+    _load_layers("sphere", "freeness")
     g = _load(graph_path)
     # opened before the work, so an unwritable path fails at once
     try:

@@ -195,23 +195,6 @@ def lex_cliques(adj: Sequence[int], pool: int, least: int, most: int) -> Iterato
             yield tuple(clique)
 
 
-def greedy_independent_set(g: SimpleGraph) -> tuple[int, ...]:
-    """Greedy independent set (min-remaining-degree rule); a lower-bound witness."""
-    alive = (1 << g.n) - 1
-    chosen: list[int] = []
-    while alive:
-        best_v = -1
-        best_deg = g.n + 1
-        for v in bits(alive):
-            deg = (g.adj[v] & alive).bit_count()
-            if deg < best_deg:
-                best_v, best_deg = v, deg
-        chosen.append(best_v)
-        alive &= ~(1 << best_v)
-        alive &= ~g.adj[best_v]
-    return tuple(sorted(chosen))
-
-
 def greedy_clique_cover(g: SimpleGraph) -> int:
     """Greedy partition of the vertices into cliques; its size bounds alpha above.
 

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import SimpleGraph, greedy_clique_cover, greedy_independent_set, max_clique
+from .graphs import SimpleGraph, greedy_clique_cover, max_clique
 from .weighted import HALF, ONE, EnumerationLimitError, WeightedGraph, round_edges_up, validate
 
 GUARD_BAND = 1e-9  # squared-distance slack around thresholds; inside it we resample
@@ -32,7 +32,8 @@ _MAX_RESAMPLE = 100
 # random_rotation and 16 * N * h for the points: about 0.8 GiB at the limits.
 # graph_stats stays within the same budget: the N^2-byte boolean adjacency
 # matrix and its bitmask view of about N^2 / 8 bytes, plus the complement's
-# rows, another N^2 / 8 bytes, while the greedy clique cover runs.
+# rows, another N^2 / 8 bytes, while the greedy clique cover runs, or a copy
+# of the removed rows, at most N^2 bytes, while the greedy independent set runs.
 MAX_N = 4096
 MAX_H = 2048
 _SAMPLE_BLOCK = 1000  # K_s samples held at once: 8 * s bytes each
@@ -255,6 +256,30 @@ def realize(r: WeightedGraph, n_total: int, cfg: BEConfig) -> RealizedGraph:
     return RealizedGraph(tuple(sizes), adj, provenance, rounded)
 
 
+def greedy_independent_set(matrix: np.ndarray) -> tuple[int, ...]:
+    """Greedy independent set of a boolean adjacency matrix; a lower-bound witness.
+
+    Each step takes the live vertex of least degree among the live vertices,
+    the smallest index on ties, and removes it with its neighbours. The
+    degrees are kept by subtracting the rows of each removed set. A removed
+    vertex's degree is set to 2n: at most n - 1 of its rows are subtracted
+    later, so it stays above every live degree, which is below n.
+    """
+    n = len(matrix)
+    degree = matrix.sum(axis=1)
+    chosen = []
+    for _ in range(n):  # each step removes at least one vertex
+        v = int(degree.argmin())
+        if degree[v] >= n:
+            break
+        chosen.append(v)
+        removed = matrix[v] & (degree < n)
+        removed[v] = True
+        degree -= matrix[removed].sum(axis=0)
+        degree[removed] = 2 * n
+    return tuple(sorted(chosen))
+
+
 def _floyd_samples(rng: np.random.Generator, n: int, s: int, count: int) -> np.ndarray:
     """count uniform s-subsets of range(n), one per row, for 0 <= s <= n.
 
@@ -293,7 +318,7 @@ def graph_stats(
     n, matrix, g = rg.n, rg.matrix, rg.graph
     exact = n <= clique_budget
     omega, _ = max_clique(g.adj, stop_at=None if exact else t)
-    ind_lower = len(greedy_independent_set(g))
+    ind_lower = len(greedy_independent_set(matrix))
     ind_upper = greedy_clique_cover(g)
     alpha_exact = None
     if exact:

@@ -16,7 +16,7 @@ from operator import mul
 from .freeness import score_from_masks
 from .partitions import parts_density, parts_graph, size_rule
 from .rationals import RationalLike, as_fraction, format_fraction
-from .weighted import HALF, ONE, ZERO, EnumerationLimitError, WeightedGraph, ks_density
+from .weighted import HALF, ONE, ZERO, EnumerationLimitError, NoFreeGraphError, WeightedGraph, ks_density
 
 SEARCH_SPACE_LIMIT = 10**8
 # The search stores every weight composition (a tuple of n ints) and, per
@@ -38,10 +38,6 @@ class SearchSpaceError(EnumerationLimitError):
 
 class BasisLimitError(EnumerationLimitError):
     """basis_coefficients was asked for m above BASIS_M_LIMIT."""
-
-
-class NoFreeGraphError(RuntimeError):
-    """No edge assignment in the search space is t-free."""
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,10 @@ class EnumerationLimitError(RuntimeError):
     """
 
 
+class NoFreeGraphError(RuntimeError):
+    """No edge assignment in a brute-force search space is t-free."""
+
+
 class GraphFormatError(ValueError):
     """Malformed weighted-graph JSON. Carries a 1-based line number when known."""
 

@@ -23,7 +23,7 @@ from rtdensity import (
 from rtdensity import cli
 from rtdensity.cli import AUDIT_SKELETON_LIMIT, DENSITY_SIZE_LIMIT, main
 from rtdensity.partitions import enumerate_specs, spec_count
-from rtdensity.sphere import MAX_H, MAX_N, RealizationLimitError
+from rtdensity.sphere import MAX_H, MAX_N
 from rtdensity.verify import (
     BASIS_M_LIMIT,
     SEARCH_SPACE_LIMIT,
@@ -32,6 +32,7 @@ from rtdensity.verify import (
     search_space_size,
     search_weight_cells,
 )
+from rtdensity.weighted import EnumerationLimitError
 
 
 @pytest.fixture
@@ -414,14 +415,24 @@ def test_realize_over_size_limits_refused_exit_3(runner, counterexample_file, tm
         assert result.output.startswith("refused: ") and result.output.count("\n") == 1
 
 
-def test_realize_calls_the_patched_module_global(runner, counterexample_file, tmp_path, monkeypatch):
-    # the benchmark tracer patches cli.realize by name; loading the sphere
-    # layer on first use must not bind the original over the patch
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("rho", lambda graph, out: ["density", "--s", "5", "--t", "11"]),
+        ("audit_conjecture", lambda graph, out: ["audit", "--s", "5", "--t-min", "10", "--t-max", "11"]),
+        ("brute_force_extremal", lambda graph, out: SEARCH),
+        ("realize", realize_args),
+    ],
+    ids=["rho", "audit_conjecture", "brute_force_extremal", "realize"],
+)
+def test_commands_call_the_patched_module_global(runner, counterexample_file, tmp_path, monkeypatch, name, args):
+    # the benchmark tracer patches these names on cli; loading a command's
+    # layers on first use must not bind the original over the patch
     def refuse(*args, **kwargs):
-        raise RealizationLimitError("stubbed")
+        raise EnumerationLimitError("stubbed")
 
-    monkeypatch.setattr(cli, "realize", refuse)
-    result = runner.invoke(main, realize_args(counterexample_file, tmp_path / "e"))
+    monkeypatch.setattr(cli, name, refuse)
+    result = runner.invoke(main, args(counterexample_file, tmp_path / "e"))
     assert result.exit_code == 3
     assert result.output == "refused: stubbed\n"
 

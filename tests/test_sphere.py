@@ -11,7 +11,15 @@ from click.testing import CliRunner
 
 from rtdensity import WeightedGraph, complete_balanced, dumps_graph, sphere
 from rtdensity.cli import main
-from rtdensity.graphs import SimpleGraph, clique_number, has_clique, max_clique
+from rtdensity.graphs import (
+    SimpleGraph,
+    bits,
+    clique_number,
+    greedy_clique_cover,
+    has_clique,
+    independence_number,
+    max_clique,
+)
 from rtdensity.sphere import (
     _SAMPLE_BLOCK,
     BEConfig,
@@ -19,6 +27,7 @@ from rtdensity.sphere import (
     _sq_dists,
     be_graph,
     graph_stats,
+    greedy_independent_set,
     random_rotation,
     realize,
     sample_sphere,
@@ -244,6 +253,36 @@ def test_realized_matrix_is_symmetric_and_graph_is_its_view():
         assert rg.graph == SimpleGraph.from_edges(rg.n, zip(us.tolist(), vs.tolist()))
         # identity equality and hashing: no elementwise ndarray comparison
         assert rg == rg and rg != dataclasses.replace(rg) and hash(rg) == hash(rg)
+
+
+def reference_greedy_independent_set(g):
+    """The greedy rule one step at a time on bitmask rows: the live vertex of
+    least live degree, the smallest index on ties."""
+    alive = (1 << g.n) - 1
+    chosen = []
+    while alive:
+        v = min(bits(alive), key=lambda u: (g.adj[u] & alive).bit_count())
+        chosen.append(v)
+        alive &= ~(1 << v) & ~g.adj[v]
+    return tuple(sorted(chosen))
+
+
+def test_greedy_independent_set_matches_per_step_loop():
+    rng = random.Random(13)
+    for density in (0.1, 0.4, 0.8):
+        for _ in range(20):
+            n = rng.randint(0, 40)
+            pairs = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < density]
+            g = SimpleGraph.from_edges(n, pairs)
+            chosen = greedy_independent_set(edge_matrix(n, pairs))
+            assert chosen == reference_greedy_independent_set(g)
+            assert len(chosen) <= independence_number(g) <= greedy_clique_cover(g)
+    # a realization of the s = 5, t = 10 graph
+    rg = realize(counterexample_graph(), 300, BEConfig(0.2, 16, seed=7))
+    chosen = greedy_independent_set(rg.matrix)
+    assert chosen == reference_greedy_independent_set(rg.graph)
+    assert not rg.matrix[np.ix_(chosen, chosen)].any()
+    assert len(chosen) <= greedy_clique_cover(rg.graph)
 
 
 def reference_edge_text(rg):
